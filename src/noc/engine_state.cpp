@@ -263,7 +263,7 @@ decodeEngineState(net::WireReader &r, EngineState &out)
 bool
 Network::captureState(EngineState &out) const
 {
-    const std::uint32_t count = geo_.nodeCount();
+    const std::uint32_t count = topo_.nodeCount();
     const std::uint32_t depth = slab_.depth();
     out = EngineState{};
     out.cycle = cycle_;
@@ -311,7 +311,7 @@ Network::captureState(EngineState &out) const
 bool
 Network::restoreState(const EngineState &st)
 {
-    const std::uint32_t count = geo_.nodeCount();
+    const std::uint32_t count = topo_.nodeCount();
     if (st.nodes != count || st.slabDepth != slab_.depth()) {
         FT_WARN("engine-state restore refused: snapshot is for ",
                 st.nodes, " node(s) depth ", st.slabDepth,

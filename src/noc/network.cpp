@@ -1,20 +1,82 @@
 #include "noc/network.hpp"
 
+#include <algorithm>
+#include <memory>
+
 #include "common/logging.hpp"
 
 namespace fasttrack {
 
 Network::Network(const NocConfig &config)
-    : EngineCore(config.pes()), geo_(config)
+    : EngineCore(config.pes()), topo_(config)
 {
 #if FT_CHECK_ENABLED
     checker_ = std::make_unique<check::InvariantChecker>(
-        check::geometryOf(geo_.config()));
+        check::geometryOf(topo_.config()));
 #endif
-    const std::uint32_t count = geo_.nodeCount();
+    const std::uint32_t n = topo_.n();
+    const std::uint32_t count = topo_.nodeCount();
+    routers_.reserve(count);
+    targets_.resize(count);
     linkTraversals_.resize(count);
     nodeCounters_.resize(count);
-    slab_.init(count, geo_.slabDepth());
+
+    const Cycle short_lat = 1 + config.shortLinkStages;
+    const Cycle express_lat = 1 + config.expressLinkStages;
+    portLatency_[static_cast<std::size_t>(OutPort::eEx)] = express_lat;
+    portLatency_[static_cast<std::size_t>(OutPort::sEx)] = express_lat;
+    portLatency_[static_cast<std::size_t>(OutPort::eSh)] = short_lat;
+    portLatency_[static_cast<std::size_t>(OutPort::sSh)] = short_lat;
+    // One frame per distinct landing offset plus the frame being
+    // consumed, so an in-flight write can never alias the current
+    // frame.
+    slab_.init(count, static_cast<std::uint32_t>(
+                          std::max(short_lat, express_lat) + 1));
+
+    // At most four distinct sites exist on the torus (express-x and
+    // express-y presence); all routers of a kind share one candidate
+    // table instead of each building its own.
+    std::array<std::shared_ptr<const CandidateTable>, 4> tables{};
+    const auto tableFor = [&](Coord c) {
+        const std::size_t kind =
+            (topo_.hasExpressX(c.x) ? 2u : 0u) +
+            (topo_.hasExpressY(c.y) ? 1u : 0u);
+        if (!tables[kind]) {
+            auto t = std::make_shared<CandidateTable>();
+            t->build(Router::siteFor(topo_, c));
+            tables[kind] = std::move(t);
+        }
+        return tables[kind];
+    };
+
+    for (std::uint32_t id = 0; id < count; ++id) {
+        const Coord c = toCoord(id, n);
+        routers_.emplace_back(topo_, c, tableFor(c));
+
+        auto &t = targets_[id];
+        t[static_cast<std::size_t>(OutPort::eSh)] = {
+            toNodeId(topo_.eastShort(c), n), InPort::wSh};
+        t[static_cast<std::size_t>(OutPort::sSh)] = {
+            toNodeId(topo_.southShort(c), n), InPort::nSh};
+        t[static_cast<std::size_t>(OutPort::eEx)] = {
+            topo_.hasExpressX(c.x) ? toNodeId(topo_.eastExpress(c), n)
+                                   : kInvalidNode,
+            InPort::wEx};
+        t[static_cast<std::size_t>(OutPort::sEx)] = {
+            topo_.hasExpressY(c.y) ? toNodeId(topo_.southExpress(c), n)
+                                   : kInvalidNode,
+            InPort::nEx};
+    }
+}
+
+std::uint64_t
+Network::linkCount() const
+{
+    const std::uint64_t rings = 2ull * topo_.n();
+    const std::uint64_t short_links = rings * topo_.n();
+    const std::uint64_t express_links =
+        rings * topo_.expressLinksPerRing();
+    return short_links + express_links;
 }
 
 template <bool HasGate, bool HasTracer, bool HasTelem>
@@ -28,13 +90,13 @@ Network::stepImpl()
         tlog = &telemetry::installed()->local();
     (void)tlog;
 
-    const std::uint32_t count = geo_.nodeCount();
+    const std::uint32_t count = topo_.nodeCount();
     const std::uint32_t cur = slab_.frameOf(cycle_);
     // Landing frame per output lane, computed once per cycle.
     std::array<std::uint32_t, kNumOutPorts> dest_frame;
     for (std::size_t port = 0; port < kNumOutPorts; ++port)
         dest_frame[port] =
-            slab_.frameOf(cycle_ + geo_.portLatency()[port]);
+            slab_.frameOf(cycle_ + portLatency_[port]);
 
     /** Collects routeCore's outcome so the engine can emit checker,
      *  tracer and measurement events in the architected order
@@ -52,7 +114,7 @@ Network::stepImpl()
         void forward(OutPort out, const Packet &p)
         {
             const auto idx = static_cast<std::size_t>(out);
-            const TransferTarget &t = net->geo_.targets(id)[idx];
+            const TransferTarget &t = net->targets_[id][idx];
             FT_ASSERT(t.router != kInvalidNode,
                       "forward onto a non-existent link");
             placed[idx] = net->slab_.place(dest_frame[idx], t.router,
@@ -61,7 +123,6 @@ Network::stepImpl()
         void deliver(InPort, const Packet &p) { delivered = &p; }
     };
 
-    const std::vector<Router> &routers = geo_.routers();
     for (std::uint32_t id = 0; id < count; ++id) {
         const std::uint8_t in_mask = slab_.mask(cur, id);
         const bool has_offer = offerMask_[id] != 0;
@@ -83,7 +144,7 @@ Network::stepImpl()
         if constexpr (HasTelem)
             defl_before = stats_.deflectionsByPort;
 
-        const bool pe_accepted = routers[id].routeCore(
+        const bool pe_accepted = routers_[id].routeCore(
             slab_.row(cur, id), in_mask,
             has_offer ? &offerSlab_[id] : nullptr, cycle_, stats_, gate,
             sink);
@@ -112,9 +173,9 @@ Network::stepImpl()
                 if (p)
                     ++check_outputs;
             }
-            const RouterSite &site = routers[id].site();
+            const RouterSite &site = routers_[id].site();
             check::verifyRouterResult(
-                toCoord(id, geo_.topo().n()), check_inputs, has_offer,
+                toCoord(id, topo_.n()), check_inputs, has_offer,
                 pe_accepted, check_outputs, sink.delivered != nullptr,
                 sink.placed[static_cast<std::size_t>(OutPort::eEx)] &&
                     !site.hasEx,

@@ -7,13 +7,13 @@
 #ifndef FT_NOC_NETWORK_HPP
 #define FT_NOC_NETWORK_HPP
 
+#include <array>
 #include <functional>
 #include <vector>
 
 #include "common/annotations.hpp"
 #include "noc/config.hpp"
 #include "noc/engine_core.hpp"
-#include "noc/geometry.hpp"
 #include "noc/link_slab.hpp"
 #include "noc/noc_stats.hpp"
 #include "noc/packet.hpp"
@@ -34,14 +34,13 @@ namespace fasttrack {
  *
  * Engine layout: offer/accounting/measurement scaffolding comes from
  * EngineCore; the routing geometry (routers, candidate tables, link
- * landing sites and latencies) is an EngineGeometry shared in shape
- * with the batched lockstep engine (noc/batched_engine.hpp); the link
- * registers live in a dense LinkSlab frame ring rather than
- * per-router std::optional slots, and step() dispatches to a stepping
- * core templated on whether an exit gate, a journey tracer and a
- * telemetry sink are attached, so the common no-hook path compiles
- * with all three folded out entirely (see docs/engine.md and
- * docs/observability.md).
+ * landing sites and latencies) is precomputed from the NocConfig at
+ * construction; the link registers live in a dense LinkSlab frame
+ * ring rather than per-router std::optional slots, and step()
+ * dispatches to a stepping core templated on whether an exit gate, a
+ * journey tracer and a telemetry sink are attached, so the common
+ * no-hook path compiles with all three folded out entirely (see
+ * docs/engine.md and docs/observability.md).
  */
 class Network : public EngineCore
 {
@@ -66,14 +65,11 @@ class Network : public EngineCore
     /** Advance one clock cycle. */
     void step() override;
 
-    const Topology &topology() const { return geo_.topo(); }
-    const NocConfig &config() const override { return geo_.config(); }
+    const Topology &topology() const { return topo_; }
+    const NocConfig &config() const override { return topo_.config(); }
 
     /** Total physical links (short + express), for activity metrics. */
-    std::uint64_t linkCount() const override
-    {
-        return geo_.linkCount();
-    }
+    std::uint64_t linkCount() const override;
     std::uint32_t channelCount() const override { return 1; }
 
     /** Per-link traversal counts: [router][OutPort] packets that left
@@ -118,8 +114,22 @@ class Network : public EngineCore
 
     void onDrainedQuiescent() override;
 
-    /** Routers, candidate tables, landing sites, link latencies. */
-    EngineGeometry geo_;
+    /** Where a packet leaving a router on an output port lands. */
+    struct TransferTarget
+    {
+        std::uint32_t router = kInvalidNode;
+        InPort port = InPort::wSh;
+    };
+
+    Topology topo_;
+    /** One router per node; routers of the same site kind share one
+     *  candidate table. */
+    std::vector<Router> routers_;
+    /** Landing sites per router, indexed by OutPort (kInvalidNode
+     *  marks a non-existent express link at a depopulated site). */
+    std::vector<std::array<TransferTarget, kNumOutPorts>> targets_;
+    /** Link latency in cycles per output port (1 + extra stages). */
+    std::array<Cycle, kNumOutPorts> portLatency_{};
     /** Dense link registers: ring of frames indexed by arrival cycle. */
     LinkSlab slab_;
 

@@ -1,43 +1,15 @@
 #include "sim/ftd_server.hpp"
 
-#include <cstring>
-#include <map>
 #include <utility>
 
-#include "net/wire.hpp"
+#include "common/parallel.hpp"
 #include "sched/work_stealing_pool.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
 
 namespace fasttrack {
 
 namespace {
-
-/** Group key: points sharing (config, channels, maxCycles) batch
- *  together. The encoded request minus pointIndex/workload would do,
- *  but hashing the fields directly is simpler and collision-free
- *  (std::map on the encoded bytes). */
-std::string
-groupKey(const SweepRequest &request)
-{
-    net::WireWriter w;
-    const NocConfig &c = request.config;
-    w.u32(c.n);
-    w.u32(c.d);
-    w.u32(c.r);
-    w.u32(static_cast<std::uint32_t>(c.variant));
-    w.u8(c.allowExpressTurn ? 1 : 0);
-    w.u8(c.allowUpgrade ? 1 : 0);
-    w.u8(c.turnPriority ? 1 : 0);
-    w.u32(c.shortLinkStages);
-    w.u32(c.expressLinkStages);
-    w.u32(request.channels);
-    w.u64(request.maxCycles);
-    const std::vector<std::uint8_t> bytes = w.take();
-    return std::string(reinterpret_cast<const char *>(bytes.data()),
-                       bytes.size());
-}
 
 net::ServerConfig
 withSweepSchema(net::ServerConfig config)
@@ -110,7 +82,6 @@ FtdServer::reportTo(telemetry::MetricsRegistry &metrics) const
     metrics.counter("ftd.net.injected_drops") = n.injectedDrops;
     sweepCache().reportTo(metrics);
     sched::WorkStealingPool::global().reportTo(metrics);
-    reportBatchRunStats(metrics);
 }
 
 std::vector<net::Frame>
@@ -120,12 +91,13 @@ FtdServer::handle(std::vector<net::Frame> batch)
     {
         std::uint64_t requestId = 0;
         SweepRequest request;
-        /** Blob-cache payload when the pre-pass hit. */
-        std::vector<std::uint8_t> cached;
+        /** Encoded SynthResult: spliced from the blob cache when the
+         *  pre-pass hit, computed otherwise. */
+        std::vector<std::uint8_t> payload;
         bool hit = false;
         bool bad = false;
         /** Temporal-shard slice (snapshotRequest); handled apart
-         *  from the sweep grouping, response pre-built. */
+         *  from the sweep points, response pre-built. */
         bool slice = false;
         net::Frame sliceResponse;
     };
@@ -158,35 +130,32 @@ FtdServer::handle(std::vector<net::Frame> batch)
         if (auto payload = cache.lookup(key)) {
             SynthResult check;
             if (decodeSynthResult(*payload, check)) {
-                item.cached = std::move(*payload);
+                item.payload = std::move(*payload);
                 item.hit = true;
             }
         }
     }
 
-    // Group the misses by simulation parameters so each group rides
-    // one batchedCachedRuns call (lockstep batching + pool sharding).
-    std::map<std::string, std::vector<std::size_t>> groups;
+    // Every miss of the batch, whatever its config, channel count or
+    // cycle guard, runs as one bulk job on the pool. Pinned to the
+    // local path: a handler must never re-enter remote dispatch, even
+    // when this process also has remote endpoints configured
+    // (in-process daemons in tests).
+    std::vector<std::size_t> misses;
     for (std::size_t i = 0; i < items.size(); ++i)
         if (!items[i].bad && !items[i].hit && !items[i].slice)
-            groups[groupKey(items[i].request)].push_back(i);
-
-    std::vector<std::vector<std::uint8_t>> computed(items.size());
-    for (const auto &[key, members] : groups) {
-        const SweepRequest &first = items[members.front()].request;
-        std::vector<SyntheticWorkload> workloads;
-        workloads.reserve(members.size());
-        for (std::size_t i : members)
-            workloads.push_back(items[i].request.workload);
-        // Pinned to the local path: a handler must never re-enter
-        // remote dispatch, even when this process also has remote
-        // endpoints configured (in-process daemons in tests).
-        const std::vector<SynthResult> results =
-            batchedCachedRunsLocal(first.config, first.channels,
-                                   workloads, first.maxCycles);
-        for (std::size_t j = 0; j < members.size(); ++j)
-            computed[members[j]] = encodeSynthResult(results[j]);
-    }
+            misses.push_back(i);
+    sched::ensureGlobalPool();
+    std::vector<std::vector<std::uint8_t>> computed = parallelMap(
+        misses,
+        [&](std::size_t i) {
+            const SweepRequest &r = items[i].request;
+            return encodeSynthResult(cachedRunSynthetic(
+                r.config, r.channels, r.workload, r.maxCycles));
+        },
+        0, "ftd");
+    for (std::size_t j = 0; j < misses.size(); ++j)
+        items[misses[j]].payload = std::move(computed[j]);
 
     // Answer in arrival order, then append the telemetry epoch.
     std::vector<net::Frame> responses;
@@ -210,8 +179,7 @@ FtdServer::handle(std::vector<net::Frame> batch)
         frame.type = net::MessageType::sweepResult;
         frame.requestId = item.requestId;
         frame.payload = encodeSweepResultPayload(
-            item.request.pointIndex, item.hit,
-            item.hit ? item.cached : computed[i]);
+            item.request.pointIndex, item.hit, item.payload);
         responses.push_back(std::move(frame));
     }
 

@@ -33,7 +33,7 @@ Mutex g_configMutex;
 RemoteConfig g_config FT_GUARDED_BY(g_configMutex);
 
 /**
- * Counters of one in-flight remote run (a remoteBatchedRuns or
+ * Counters of one in-flight remote run (a remoteRuns or
  * runShardedSim invocation). Worker threads bump the atomics; the
  * run publishes itself once complete (publishRun), becoming the
  * "most recent run" snapshot and an increment of the lifetime
@@ -460,9 +460,9 @@ reportRemoteStats(telemetry::MetricsRegistry &metrics)
 }
 
 std::vector<SynthResult>
-remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
-                  const std::vector<SyntheticWorkload> &workloads,
-                  Cycle max_cycles, const LocalRunner &local)
+remoteRuns(const NocConfig &config, std::uint32_t channels,
+           const std::vector<SyntheticWorkload> &workloads,
+           Cycle max_cycles, const LocalRunner &local)
 {
     const std::size_t count = workloads.size();
     std::vector<SynthResult> results(count);

@@ -4,7 +4,7 @@
  * fabric (docs/distributed.md).
  *
  * When remote endpoints are configured (--remote host:port[,...]),
- * batchedCachedRuns transparently fans sweep points out to ftd
+ * cachedRuns transparently fans sweep points out to ftd
  * daemons over the framed wire protocol (net/frame.hpp): points are
  * sharded round-robin across endpoints, pipelined within a
  * per-session window, and reassembled strictly by input index — so
@@ -16,9 +16,8 @@
  * (net::backoffDelayMs); the attempt counter resets whenever a
  * connection made progress, so a flaky worker that keeps serving
  * some results is drained rather than abandoned. Points that remain
- * unserved after the retry budget fall back to the local scalar
- * path — a sweep never fails because the fleet did, it only slows
- * down.
+ * unserved after the retry budget fall back to the local path — a
+ * sweep never fails because the fleet did, it only slows down.
  *
  * This header also carries the message-payload codecs for
  * sweepRequest / sweepResult / metricsEpoch frames, built on the
@@ -76,7 +75,7 @@ void clearRemoteConfig();
 /** True when at least one endpoint is configured. */
 bool remoteConfigured();
 
-/** Counters of one remote run (a remoteBatchedRuns or runShardedSim
+/** Counters of one remote run (a remoteRuns or runShardedSim
  *  invocation). remoteStats() reports the most recent run so a second
  *  sweep's numbers are its own, not cumulative totals;
  *  remoteLifetimeStats() keeps the process-wide accumulation. */
@@ -127,12 +126,12 @@ using LocalRunner = std::function<std::vector<SynthResult>(
  * out to the configured remote endpoints; unreachable work falls
  * back to @p local. Results are input-ordered and bit-identical to
  * the local path. Precondition: remoteConfigured() and no telemetry
- * sink installed (the caller — batchedCachedRuns — guards).
+ * sink installed (the caller — cachedRuns — guards).
  */
 std::vector<SynthResult>
-remoteBatchedRuns(const NocConfig &config, std::uint32_t channels,
-                  const std::vector<SyntheticWorkload> &workloads,
-                  Cycle max_cycles, const LocalRunner &local);
+remoteRuns(const NocConfig &config, std::uint32_t channels,
+           const std::vector<SyntheticWorkload> &workloads,
+           Cycle max_cycles, const LocalRunner &local);
 
 /**
  * Execute one run as a chain of temporal shards of @p shard_cycles

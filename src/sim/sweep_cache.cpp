@@ -3,8 +3,12 @@
 #include <atomic>
 #include <bit>
 
+#include "common/parallel.hpp"
 #include "net/wire.hpp"
 #include "noc/engine_state.hpp"
+#include "sched/work_stealing_pool.hpp"
+#include "sim/remote.hpp"
+#include "telemetry/sink.hpp"
 
 namespace fasttrack {
 
@@ -90,6 +94,43 @@ bool
 sweepCacheEnabled()
 {
     return g_cacheEnabled.load(std::memory_order_relaxed);
+}
+
+std::vector<SynthResult>
+cachedRuns(const NocConfig &config, std::uint32_t channels,
+           const std::vector<SyntheticWorkload> &workloads,
+           Cycle max_cycles)
+{
+    // Every result is the bit-deterministic function of its inputs,
+    // so it does not matter which node computed it. Telemetry runs
+    // stay local — remote workers cannot stream trace events.
+    if (remoteConfigured() && telemetry::installed() == nullptr) {
+        return remoteRuns(
+            config, channels, workloads, max_cycles,
+            [&](const std::vector<std::size_t> &indices) {
+                std::vector<SyntheticWorkload> subset;
+                subset.reserve(indices.size());
+                for (std::size_t i : indices)
+                    subset.push_back(workloads[i]);
+                return cachedRunsLocal(config, channels, subset,
+                                       max_cycles);
+            });
+    }
+    return cachedRunsLocal(config, channels, workloads, max_cycles);
+}
+
+std::vector<SynthResult>
+cachedRunsLocal(const NocConfig &config, std::uint32_t channels,
+                const std::vector<SyntheticWorkload> &workloads,
+                Cycle max_cycles)
+{
+    sched::ensureGlobalPool();
+    return parallelMap(
+        workloads,
+        [&](const SyntheticWorkload &w) {
+            return cachedRunSynthetic(config, channels, w, max_cycles);
+        },
+        0, "cachedRuns");
 }
 
 } // namespace fasttrack

@@ -105,6 +105,32 @@ cachedRunSynthetic(const NocConfig &config, std::uint32_t channels,
         .synth;
 }
 
+/**
+ * cachedRunSynthetic over many points of one (config, channels):
+ * one result per workload, in input order. With remote endpoints
+ * configured and no telemetry sink installed, the points fan out to
+ * ftd daemons (sim/remote.hpp); otherwise — and for any point the
+ * fleet cannot serve — they run on the work-stealing pool. Where a
+ * point is computed never changes what it computes.
+ */
+std::vector<SynthResult>
+cachedRuns(const NocConfig &config, std::uint32_t channels,
+           const std::vector<SyntheticWorkload> &workloads,
+           Cycle max_cycles = kDefaultMaxCycles);
+
+/**
+ * cachedRuns pinned to the in-process path: never consults the
+ * remote config. The ftd daemon's request handler and the remote
+ * client's fallback go through this so serving a request can never
+ * re-enter remote dispatch — a hazard whenever a daemon shares a
+ * process with a remote-configured client (in-process tests, or an
+ * operator pointing a daemon's own tools at itself).
+ */
+std::vector<SynthResult>
+cachedRunsLocal(const NocConfig &config, std::uint32_t channels,
+                const std::vector<SyntheticWorkload> &workloads,
+                Cycle max_cycles = kDefaultMaxCycles);
+
 } // namespace fasttrack
 
 #endif // FT_SIM_SWEEP_CACHE_HPP

@@ -1,13 +1,14 @@
 /**
  * @file
- * Shared FNV-1a hashing of NocStats for golden-equivalence tests.
+ * Shared FNV-1a hashing of engine results for golden-equivalence
+ * tests (test_golden_stats.cpp fixed-seed pins; checkpoint and
+ * sharding bit-identity).
  *
- * Used by test_golden_stats.cpp (fixed-seed pins of the scalar engine)
- * and test_batched.cpp (per-lane batched-vs-solo bit-identity). The
- * hash covers every counter and histogram the engines must agree on;
- * per-node counters and link traversal tallies are deliberately
- * excluded — the batched engine does not collect them (see
- * docs/engine.md, "Batched lockstep stepping").
+ * hashStats covers every NocStats counter and histogram. hashCounters
+ * covers what a Network tracks beyond NocStats: its per-node
+ * fairness counters and per-link traversal tallies. The two are
+ * separate hashes so the hashStats pins, recorded before the
+ * per-node and per-link state was pinned, stay valid unchanged.
  */
 
 #ifndef FT_TESTS_GOLDEN_HASH_HPP
@@ -15,6 +16,7 @@
 
 #include <cstdint>
 
+#include "noc/network.hpp"
 #include "noc/noc_stats.hpp"
 
 namespace fasttrack {
@@ -59,6 +61,21 @@ hashStats(const NocStats &s)
             h.add(count);
         }
     }
+    return h.value();
+}
+
+inline std::uint64_t
+hashCounters(const Network &net)
+{
+    StatHash h;
+    for (const Network::NodeCounters &c : net.nodeCounters()) {
+        h.add(c.injected);
+        h.add(c.delivered);
+        h.add(c.blockedCycles);
+    }
+    for (const auto &ports : net.linkTraversals())
+        for (std::uint64_t v : ports)
+            h.add(v);
     return h.value();
 }
 

@@ -20,7 +20,6 @@
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/ftd_server.hpp"
 #include "sim/remote.hpp"
 #include "sim/sweep_cache.hpp"
@@ -107,6 +106,36 @@ deadPort()
     const std::uint16_t port = listener.boundPort();
     listener.close();
     return port;
+}
+
+/** A raw-socket session on @p port, handshaken by hand; invalid
+ *  (with a test failure recorded) if the handshake fails. */
+net::Socket
+rawSession(std::uint16_t port)
+{
+    std::string error;
+    net::Socket sock = net::connectTo("127.0.0.1", port, 2'000, error);
+    EXPECT_TRUE(sock.valid()) << error;
+    net::Frame hello;
+    hello.type = net::MessageType::hello;
+    net::WireWriter hw;
+    hw.u32(net::kWireVersion);
+    hw.u32(kSweepCacheSchema);
+    hw.u32(8);
+    hello.payload = hw.take();
+    net::Frame ack;
+    if (!sock.valid() ||
+        net::sendFrame(sock, hello, 2'000) != net::FrameStatus::ok ||
+        net::recvFrame(sock, ack, 2'000, 2'000) != net::FrameStatus::ok ||
+        ack.type != net::MessageType::helloAck) {
+        ADD_FAILURE() << "handshake failed";
+        return {};
+    }
+    net::WireReader ar(ack.payload);
+    std::uint32_t version = 0, schema = 0, granted = 0;
+    EXPECT_TRUE(ar.u32(version) && ar.u32(schema) && ar.u32(granted));
+    EXPECT_EQ(schema, kSweepCacheSchema); // daemon speaks its build
+    return sock;
 }
 
 SweepRequest
@@ -249,7 +278,7 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
     std::vector<SynthResult> remote;
     {
         WithRemote wr(loopbackConfig({a.port(), b.port()}));
-        remote = batchedCachedRuns(config, 1, workloads);
+        remote = cachedRuns(config, 1, workloads);
     }
     // remoteStats() reports this run, not process-cumulative totals.
     const RemoteStats after = remoteStats();
@@ -266,7 +295,7 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
     // Remote execution is invisible in the bytes: per point, the
     // local path produces the identical result.
     const std::vector<SynthResult> local =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     ASSERT_EQ(remote.size(), local.size());
     for (std::size_t i = 0; i < local.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
@@ -281,7 +310,7 @@ TEST(Distributed, WarmDaemonAnswersFromItsCache)
     WithRemote wr(loopbackConfig({daemon.port()}));
 
     const std::vector<SynthResult> cold =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     const RemoteStats cold1 = remoteStats();
     EXPECT_EQ(cold1.pointsRemote, workloads.size());
     EXPECT_EQ(cold1.remoteCacheHits, 0u);
@@ -292,7 +321,7 @@ TEST(Distributed, WarmDaemonAnswersFromItsCache)
     // warm run alone — the cold run's counters must not leak in
     // (the never-reset-counter regression).
     const std::vector<SynthResult> warm =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     const RemoteStats warm1 = remoteStats();
     EXPECT_EQ(warm1.pointsRemote, workloads.size());
     EXPECT_EQ(warm1.remoteCacheHits, workloads.size());
@@ -329,7 +358,7 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
 
     {
         WithRemote wr(loopbackConfig({a.port()}));
-        batchedCachedRuns(config, 1, smallWorkloads(2, 9600));
+        cachedRuns(config, 1, smallWorkloads(2, 9600));
     }
     telemetry::MetricsRegistry first;
     reportRemoteStats(first);
@@ -340,7 +369,7 @@ TEST(Distributed, DroppedEndpointStopsBeingExported)
 
     {
         WithRemote wr(loopbackConfig({b.port()}));
-        batchedCachedRuns(config, 1, smallWorkloads(2, 9601));
+        cachedRuns(config, 1, smallWorkloads(2, 9601));
     }
     telemetry::MetricsRegistry second;
     reportRemoteStats(second);
@@ -364,7 +393,7 @@ TEST(Distributed, DeadEndpointFallsBackToLocalScalarPath)
     std::vector<SynthResult> viaFallback;
     {
         WithRemote wr(std::move(remote));
-        viaFallback = batchedCachedRuns(config, 1, workloads);
+        viaFallback = cachedRuns(config, 1, workloads);
     }
     const RemoteStats after = remoteStats();
     EXPECT_EQ(after.pointsFallback, workloads.size());
@@ -372,7 +401,7 @@ TEST(Distributed, DeadEndpointFallsBackToLocalScalarPath)
     EXPECT_EQ(after.pointsRemote, 0u);
 
     const std::vector<SynthResult> local =
-        batchedCachedRuns(config, 1, workloads);
+        cachedRuns(config, 1, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(viaFallback[i]), resultHash(local[i]))
             << i;
@@ -398,7 +427,7 @@ TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
     std::vector<SynthResult> remote;
     {
         WithRemote wr(loopbackConfig({daemon.port()}));
-        remote = batchedCachedRuns(noc, 1, workloads);
+        remote = cachedRuns(noc, 1, workloads);
     }
     const RemoteStats after = remoteStats();
     EXPECT_EQ(after.pointsRemote + after.pointsFallback,
@@ -407,7 +436,7 @@ TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
     EXPECT_GE(daemon.server.netStats().injectedDrops, 2u);
 
     const std::vector<SynthResult> local =
-        batchedCachedRuns(noc, 1, workloads);
+        cachedRuns(noc, 1, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
 }
@@ -416,28 +445,8 @@ TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
 {
     WithDaemon daemon;
 
-    // Raw-socket session: handshake by hand.
-    std::string error;
-    net::Socket sock = net::connectTo("127.0.0.1", daemon.port(),
-                                      2'000, error);
-    ASSERT_TRUE(sock.valid()) << error;
-    net::Frame hello;
-    hello.type = net::MessageType::hello;
-    net::WireWriter hw;
-    hw.u32(net::kWireVersion);
-    hw.u32(kSweepCacheSchema);
-    hw.u32(8);
-    hello.payload = hw.take();
-    ASSERT_EQ(net::sendFrame(sock, hello, 2'000),
-              net::FrameStatus::ok);
-    net::Frame ack;
-    ASSERT_EQ(net::recvFrame(sock, ack, 2'000, 2'000),
-              net::FrameStatus::ok);
-    ASSERT_EQ(ack.type, net::MessageType::helloAck);
-    net::WireReader ar(ack.payload);
-    std::uint32_t version = 0, schema = 0, granted = 0;
-    ASSERT_TRUE(ar.u32(version) && ar.u32(schema) && ar.u32(granted));
-    EXPECT_EQ(schema, kSweepCacheSchema); // daemon speaks its build
+    net::Socket sock = rawSession(daemon.port());
+    ASSERT_TRUE(sock.valid());
 
     // A sweepRequest whose payload is garbage: answered with a
     // kErrBadRequest error frame (echoing the request id), followed
@@ -496,6 +505,82 @@ TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
     EXPECT_EQ(daemon.server.stats().badRequests, 1u);
     EXPECT_EQ(daemon.server.stats().pointsServed, 1u);
     EXPECT_EQ(daemon.server.netStats().protocolErrors, 0u);
+}
+
+TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
+{
+    // One drained frame batch interleaving two configs and two
+    // channel counts: the daemon answers every point in arrival
+    // order, byte-identical to the local path.
+    WithDaemon daemon;
+    const std::vector<SyntheticWorkload> workloads =
+        smallWorkloads(4, 9700);
+    std::vector<SweepRequest> requests(workloads.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        SweepRequest &r = requests[i];
+        r.pointIndex = static_cast<std::uint32_t>(i);
+        r.config = i % 2 == 0 ? NocConfig::fastTrack(8, 2, 1)
+                              : NocConfig::hoplite(8);
+        r.channels = i % 2 == 0 ? 1 : 3;
+        r.workload = workloads[i];
+    }
+
+    // Local reference computed with the shared cache emptied and off,
+    // so the daemon below misses and really simulates every point.
+    sweepCache().clearMemory();
+    const bool cacheWas = sweepCacheEnabled();
+    setSweepCacheEnabled(false);
+    std::vector<SynthResult> local;
+    for (const SweepRequest &r : requests)
+        local.push_back(cachedRuns(r.config, r.channels, {r.workload},
+                                   r.maxCycles)
+                            .front());
+    setSweepCacheEnabled(cacheWas);
+
+    net::Socket sock = rawSession(daemon.port());
+    ASSERT_TRUE(sock.valid());
+    // One write carries every request, so the daemon drains them all
+    // into a single batch.
+    std::vector<std::uint8_t> bytes;
+    for (const SweepRequest &r : requests) {
+        net::Frame frame;
+        frame.type = net::MessageType::sweepRequest;
+        frame.requestId = 100 + r.pointIndex;
+        frame.payload = encodeSweepRequestPayload(r);
+        const std::vector<std::uint8_t> encoded = net::encodeFrame(frame);
+        bytes.insert(bytes.end(), encoded.begin(), encoded.end());
+    }
+    ASSERT_EQ(sock.sendAll(bytes.data(), bytes.size(), 2'000),
+              net::IoStatus::ok);
+
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        net::Frame reply;
+        ASSERT_EQ(net::recvFrame(sock, reply, 60'000, 10'000),
+                  net::FrameStatus::ok);
+        // A metricsEpoch here would mean the batch was split.
+        ASSERT_EQ(reply.type, net::MessageType::sweepResult) << i;
+        EXPECT_EQ(reply.requestId, 100 + i);
+        std::uint32_t point = 0;
+        bool hit = true;
+        SynthResult result;
+        ASSERT_TRUE(decodeSweepResultPayload(reply.payload, point, hit,
+                                             result));
+        EXPECT_EQ(point, i);
+        EXPECT_FALSE(hit) << i;
+        EXPECT_EQ(resultHash(result), resultHash(local[i])) << i;
+    }
+    net::Frame epoch;
+    ASSERT_EQ(net::recvFrame(sock, epoch, 10'000, 2'000),
+              net::FrameStatus::ok);
+    EXPECT_EQ(epoch.type, net::MessageType::metricsEpoch);
+
+    net::Frame goodbye;
+    goodbye.type = net::MessageType::goodbye;
+    EXPECT_EQ(net::sendFrame(sock, goodbye, 2'000),
+              net::FrameStatus::ok);
+    sock.close();
+    daemon.server.stop();
+    EXPECT_EQ(daemon.server.stats().pointsServed, requests.size());
 }
 
 } // namespace

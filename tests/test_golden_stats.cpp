@@ -3,7 +3,8 @@
  * Golden-stats equivalence pins for the cycle engine: fixed-seed runs
  * of the standard lineup (Hoplite, FT(64,2,1), FT(64,2,2) and
  * multi-channel Hoplite) must reproduce recorded NocStats and latency
- * histograms bit for bit. Any engine refactor that changes routing
+ * histograms, and each network's per-node counters and per-link
+ * traversal tallies, bit for bit. Any engine refactor that changes routing
  * decisions, arbitration order or measurement bookkeeping trips these
  * hashes; an intentional behavior change must re-record them (run the
  * suite and copy the "actual" values printed by the failures) and
@@ -49,6 +50,7 @@ TEST(GoldenStats, Hoplite8Random)
     Network noc(NocConfig::hoplite(8));
     EXPECT_EQ(runLineup(noc, TrafficPattern::random, 11),
               6920804258037780977ull);
+    EXPECT_EQ(hashCounters(noc), 5457168283347540476ull);
 }
 
 TEST(GoldenStats, FastTrack8D2R1Random)
@@ -56,6 +58,7 @@ TEST(GoldenStats, FastTrack8D2R1Random)
     Network noc(NocConfig::fastTrack(8, 2, 1));
     EXPECT_EQ(runLineup(noc, TrafficPattern::random, 12),
               13018505667610585120ull);
+    EXPECT_EQ(hashCounters(noc), 4284318511033215640ull);
 }
 
 TEST(GoldenStats, FastTrack8D2R2Random)
@@ -63,6 +66,7 @@ TEST(GoldenStats, FastTrack8D2R2Random)
     Network noc(NocConfig::fastTrack(8, 2, 2));
     EXPECT_EQ(runLineup(noc, TrafficPattern::random, 13),
               1807215248422678562ull);
+    EXPECT_EQ(hashCounters(noc), 18267648245115664175ull);
 }
 
 TEST(GoldenStats, FastTrack8D2R1Transpose)
@@ -70,6 +74,7 @@ TEST(GoldenStats, FastTrack8D2R1Transpose)
     Network noc(NocConfig::fastTrack(8, 2, 1));
     EXPECT_EQ(runLineup(noc, TrafficPattern::transpose, 14),
               15785417443856874428ull);
+    EXPECT_EQ(hashCounters(noc), 5373590604035020559ull);
 }
 
 TEST(GoldenStats, MultiChannel8x2Random)
@@ -77,6 +82,8 @@ TEST(GoldenStats, MultiChannel8x2Random)
     MultiChannelNoc noc(NocConfig::hoplite(8), 2);
     EXPECT_EQ(runLineup(noc, TrafficPattern::random, 15),
               11140384843414844015ull);
+    EXPECT_EQ(hashCounters(noc.channel(0)), 6821447742346785580ull);
+    EXPECT_EQ(hashCounters(noc.channel(1)), 9497480079032363002ull);
 }
 
 TEST(GoldenStats, InjectVariant8D2R2Random)
@@ -85,6 +92,7 @@ TEST(GoldenStats, InjectVariant8D2R2Random)
         NocConfig::fastTrack(8, 2, 2, NocVariant::ftInject));
     EXPECT_EQ(runLineup(noc, TrafficPattern::random, 16),
               17854748734557977273ull);
+    EXPECT_EQ(hashCounters(noc), 13686134556581311563ull);
 }
 
 } // namespace

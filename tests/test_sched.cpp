@@ -235,6 +235,103 @@ TEST(SweepCache, CacheOnAndOffAreBitIdentical)
     EXPECT_EQ(after.hits, before.hits + 1);
 }
 
+// The BatchRunner / BatchedEngine suite names below predate the
+// removal of the lockstep batched engine; the contracts they pin now
+// hold for cachedRuns on the work-stealing pool.
+
+TEST(BatchRunner, CachedRunsMatchScalarAndCountDispatch)
+{
+    // With the cache off, many points through cachedRuns on a
+    // multi-worker pool each equal a plain run of that point, in
+    // input order, and every point is dispatched as a cache bypass.
+    WithPool wp(4);
+    const NocConfig cfg = NocConfig::fastTrack(8, 2, 1);
+    std::vector<SyntheticWorkload> ws;
+    for (std::uint64_t seed = 71; seed < 81; ++seed)
+        ws.push_back(smallWorkload(0.2, seed));
+
+    const bool cacheWas = sweepCacheEnabled();
+    setSweepCacheEnabled(false);
+    const auto before = sweepCache().stats();
+    const std::vector<SynthResult> runs = cachedRuns(cfg, 1, ws);
+    const auto after = sweepCache().stats();
+    setSweepCacheEnabled(cacheWas);
+
+    EXPECT_EQ(after.bypasses - before.bypasses, ws.size());
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.stores, before.stores);
+    ASSERT_EQ(runs.size(), ws.size());
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+        const SynthResult solo = runSynthetic(cfg, 1, ws[i]);
+        EXPECT_EQ(resultHash(runs[i]), resultHash(solo)) << i;
+    }
+}
+
+TEST(BatchRunner, WarmReplayIsIdentical)
+{
+    // Cold and warm passes through cachedRuns equal plain runs; the
+    // warm pass simulates nothing, and its entries replay identically
+    // through the single-point cached path (same key schema).
+    WithPool wp(4);
+    const NocConfig cfg = NocConfig::fastTrack(8, 2, 1);
+    // Unique max_cycles isolates these keys from every other test
+    // sharing the process-wide cache.
+    const Cycle max_cycles = 123457;
+    std::vector<SyntheticWorkload> ws;
+    for (std::uint64_t seed = 101; seed < 109; ++seed)
+        ws.push_back(smallWorkload(0.25, seed));
+
+    const bool cacheWas = sweepCacheEnabled();
+    setSweepCacheEnabled(true);
+    const std::vector<SynthResult> cold =
+        cachedRuns(cfg, 1, ws, max_cycles);
+    const auto before = sweepCache().stats();
+    const std::vector<SynthResult> warm =
+        cachedRuns(cfg, 1, ws, max_cycles);
+    const auto after = sweepCache().stats();
+    std::vector<SynthResult> single;
+    for (const auto &w : ws)
+        single.push_back(cachedRunSynthetic(cfg, 1, w, max_cycles));
+    setSweepCacheEnabled(cacheWas);
+
+    EXPECT_EQ(after.hits - before.hits, ws.size());
+    EXPECT_EQ(after.stores, before.stores);
+    ASSERT_EQ(cold.size(), ws.size());
+    ASSERT_EQ(warm.size(), ws.size());
+    for (std::size_t i = 0; i < ws.size(); ++i) {
+        const SynthResult solo = runSynthetic(cfg, 1, ws[i], max_cycles);
+        EXPECT_EQ(resultHash(cold[i]), resultHash(solo)) << i;
+        EXPECT_EQ(resultHash(warm[i]), resultHash(solo)) << i;
+        EXPECT_EQ(resultHash(single[i]), resultHash(solo)) << i;
+    }
+}
+
+TEST(BatchedEngine, ZeroBudgetLaneFinishesImmediately)
+{
+    // A zero-budget point reports a completed, empty run at cycle 0
+    // without disturbing the points sharing its cachedRuns call.
+    WithPool wp(4);
+    const NocConfig cfg = NocConfig::fastTrack(8, 2, 1);
+    std::vector<SyntheticWorkload> ws;
+    ws.push_back(smallWorkload(0.5, 51));
+    ws.push_back(smallWorkload(0.5, 52));
+    ws[0].packetsPerPe = 0;
+
+    const bool cacheWas = sweepCacheEnabled();
+    setSweepCacheEnabled(false);
+    const std::vector<SynthResult> runs = cachedRuns(cfg, 1, ws);
+    setSweepCacheEnabled(cacheWas);
+
+    ASSERT_EQ(runs.size(), ws.size());
+    EXPECT_TRUE(runs[0].completed);
+    EXPECT_EQ(runs[0].cycles, 0u);
+    EXPECT_EQ(runs[0].stats.delivered, 0u);
+    for (std::size_t i = 0; i < ws.size(); ++i)
+        EXPECT_EQ(resultHash(runs[i]),
+                  resultHash(runSynthetic(cfg, 1, ws[i])))
+            << i;
+}
+
 TEST(SweepCache, CodecRoundTripsAndRejectsTruncation)
 {
     const SynthResult res = runSynthetic(
