@@ -24,9 +24,10 @@ constexpr std::uint8_t kOriginPending = 0;
 constexpr std::uint8_t kOriginLocalCache = 1;
 constexpr std::uint8_t kOriginRemote = 2;
 
-/** After the last in-flight result, wait this long for the trailing
- *  metricsEpoch frame of the batch before saying goodbye. Bounded so
- *  a daemon that died right after its results cannot stall us. */
+/** Bound on the wait for the metricsEpoch that closes a session's
+ *  last batch. A healthy daemon sends it right after the batch's
+ *  answers, so this only ever expires against a dead or silent
+ *  daemon (counted in RemoteStats::drainTimeouts). */
 constexpr int kEpochDrainMs = 250;
 
 Mutex g_configMutex;
@@ -53,6 +54,7 @@ struct RunCounters
     std::atomic<std::uint64_t> errorFrames{0};
     std::atomic<std::uint64_t> slicesRemote{0};
     std::atomic<std::uint64_t> slicesFallback{0};
+    std::atomic<std::uint64_t> drainTimeouts{0};
 
     Mutex epochMutex;
     /** Latest telemetry epoch per endpoint label, this run only. */
@@ -76,6 +78,7 @@ struct RunCounters
         s.slicesRemote = slicesRemote.load(std::memory_order_relaxed);
         s.slicesFallback =
             slicesFallback.load(std::memory_order_relaxed);
+        s.drainTimeouts = drainTimeouts.load(std::memory_order_relaxed);
         return s;
     }
 
@@ -111,6 +114,7 @@ publishRun(RunCounters &run)
     g_lifetime.errorFrames += s.errorFrames;
     g_lifetime.slicesRemote += s.slicesRemote;
     g_lifetime.slicesFallback += s.slicesFallback;
+    g_lifetime.drainTimeouts += s.drainTimeouts;
     MutexLock le(run.epochMutex);
     g_lastRunEpochs = std::move(run.epochs);
 }
@@ -172,12 +176,6 @@ validSweepRequest(const SweepRequest &request)
 }
 
 /**
- * One connection's worth of work: connect, handshake, pipeline the
- * points of @p remaining, harvest results. Serviced indices are
- * removed from @p remaining; @p permanent is set when the endpoint
- * rejected us for a reason retrying cannot fix (version/schema).
- */
-/**
  * Connect to @p endpoint and run the hello/helloAck handshake.
  * Returns an invalid socket on failure; @p permanent is set when the
  * endpoint rejected us for a reason retrying cannot fix. On success
@@ -233,17 +231,25 @@ connectAndHandshake(const RemoteConfig &cfg,
     return sock;
 }
 
-/** Drain trailing metricsEpoch frames (bounded) and part cleanly. */
+/**
+ * Part cleanly once every answer is in. FtdServer::handle closes each
+ * batch with exactly one metricsEpoch, so after the last answer
+ * exactly one epoch is outstanding: record it and say goodbye at
+ * once. kEpochDrainMs bounds the wait for a daemon that never sends
+ * it; such a teardown is counted in drainTimeouts.
+ */
 void
 drainEpochAndPart(const RemoteConfig &cfg,
                   const net::Endpoint &endpoint, net::Socket &sock,
                   RunCounters &run)
 {
     net::Frame frame;
-    while (net::recvFrame(sock, frame, kEpochDrainMs,
-                          cfg.ioTimeoutMs) == net::FrameStatus::ok) {
-        if (frame.type != net::MessageType::metricsEpoch)
-            break;
+    const net::FrameStatus status =
+        net::recvFrame(sock, frame, kEpochDrainMs, cfg.ioTimeoutMs);
+    if (status == net::FrameStatus::timeout) {
+        bump(run.drainTimeouts);
+    } else if (status == net::FrameStatus::ok &&
+               frame.type == net::MessageType::metricsEpoch) {
         std::map<std::string, double> values;
         if (decodeMetricsPayload(frame.payload, values))
             run.recordEpoch(endpoint.label(), std::move(values));
@@ -253,6 +259,12 @@ drainEpochAndPart(const RemoteConfig &cfg,
     net::sendFrame(sock, goodbye, cfg.ioTimeoutMs);
 }
 
+/**
+ * One connection's worth of work: connect, handshake, pipeline the
+ * points of @p remaining, harvest results. Serviced indices are
+ * removed from @p remaining; @p permanent is set when the endpoint
+ * rejected us for a reason retrying cannot fix (version/schema).
+ */
 void
 serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
                 std::vector<std::size_t> &remaining,
@@ -345,8 +357,7 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
         return origin[idx] != kOriginPending;
     });
 
-    // Give the trailing metricsEpoch of the final batch a bounded
-    // chance to arrive, then part cleanly.
+    // Take the final batch's closing metricsEpoch, then part.
     if (remaining.empty())
         drainEpochAndPart(cfg, endpoint, sock, run);
 }
@@ -444,6 +455,7 @@ reportCounterSet(telemetry::MetricsRegistry &metrics,
     metrics.counter(prefix + "error_frames") = s.errorFrames;
     metrics.counter(prefix + "slices_remote") = s.slicesRemote;
     metrics.counter(prefix + "slices_fallback") = s.slicesFallback;
+    metrics.counter(prefix + "drain_timeouts") = s.drainTimeouts;
 }
 
 } // namespace

@@ -99,6 +99,10 @@ struct RemoteStats
     std::uint64_t slicesRemote = 0;
     /** Temporal-shard slices computed locally after remote failure. */
     std::uint64_t slicesFallback = 0;
+    /** Session teardowns that waited out the epoch-drain bound
+     *  instead of parting on the batch-closing metricsEpoch; 0 on a
+     *  healthy fleet. */
+    std::uint64_t drainTimeouts = 0;
 };
 
 /** Counters of the most recent remote run (see RemoteStats). */

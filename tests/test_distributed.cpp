@@ -16,12 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "epoch_withholding_relay.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "sim/ftd_server.hpp"
 #include "sim/remote.hpp"
+#include "sim/simulation.hpp"
 #include "sim/sweep_cache.hpp"
 
 namespace fasttrack {
@@ -136,6 +138,22 @@ rawSession(std::uint16_t port)
     EXPECT_TRUE(ar.u32(version) && ar.u32(schema) && ar.u32(granted));
     EXPECT_EQ(schema, kSweepCacheSchema); // daemon speaks its build
     return sock;
+}
+
+/** What reportRemoteStats exports for the most recent remote run. */
+std::map<std::string, double>
+remoteMetrics()
+{
+    telemetry::MetricsRegistry metrics;
+    reportRemoteStats(metrics);
+    metrics.snapshot(0);
+    return metrics.epochs().back().values;
+}
+
+std::string
+loopbackLabel(std::uint16_t port)
+{
+    return "127.0.0.1:" + std::to_string(port);
 }
 
 SweepRequest
@@ -284,6 +302,8 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
     const RemoteStats after = remoteStats();
     EXPECT_EQ(after.pointsRemote, workloads.size());
     EXPECT_EQ(after.pointsFallback, 0u);
+    // Every session parted on its final batch's metricsEpoch.
+    EXPECT_EQ(after.drainTimeouts, 0u);
 
     // Round-robin sharding puts points on both daemons.
     EXPECT_GT(a.server.stats().pointsServed, 0u);
@@ -291,6 +311,21 @@ TEST(Distributed, TwoDaemonSweepIsByteIdenticalToLocal)
     EXPECT_EQ(a.server.stats().pointsServed +
                   b.server.stats().pointsServed,
               workloads.size());
+
+    // Each endpoint's gauges come from that final epoch, which counts
+    // every point the daemon served: it was recorded, not dropped.
+    const std::map<std::string, double> metrics = remoteMetrics();
+    EXPECT_EQ(metrics.at("remote.drain_timeouts"), 0.0);
+    for (WithDaemon *daemon : {&a, &b}) {
+        const std::string gauge = "remote." +
+                                  loopbackLabel(daemon->port()) +
+                                  ".ftd.points_served";
+        ASSERT_EQ(metrics.count(gauge), 1u) << gauge;
+        EXPECT_EQ(metrics.at(gauge),
+                  static_cast<double>(
+                      daemon->server.stats().pointsServed))
+            << gauge;
+    }
 
     // Remote execution is invisible in the bytes: per point, the
     // local path produces the identical result.
@@ -439,6 +474,47 @@ TEST(Distributed, ClientRidesOutInjectedMidStreamDrops)
         cachedRuns(noc, 1, workloads);
     for (std::size_t i = 0; i < workloads.size(); ++i)
         EXPECT_EQ(resultHash(remote[i]), resultHash(local[i])) << i;
+}
+
+TEST(Distributed, EpochlessDaemonCostsOneBoundedWaitPerSession)
+{
+    // A daemon that answers every point but never sends the
+    // batch-closing metricsEpoch: the client must still finish on the
+    // kEpochDrainMs bound, keep every answer, and count the wait.
+    WithDaemon daemon;
+    EpochWithholdingRelay relay(daemon.port());
+    const NocConfig config = NocConfig::fastTrack(4, 2, 1);
+    const std::vector<SyntheticWorkload> workloads =
+        smallWorkloads(3, 9700);
+    const std::uint64_t lifetimeBefore =
+        remoteLifetimeStats().drainTimeouts;
+
+    std::vector<SynthResult> remote;
+    {
+        WithRemote wr(loopbackConfig({relay.port()}));
+        remote = cachedRuns(config, 1, workloads);
+    }
+    const RemoteStats after = remoteStats();
+    EXPECT_EQ(after.pointsRemote, workloads.size());
+    EXPECT_EQ(after.pointsFallback, 0u);
+    EXPECT_EQ(after.reconnects, 0u);
+    EXPECT_EQ(relay.sessions(), 1u);
+    EXPECT_GE(relay.withheld(), 1u);
+    EXPECT_EQ(after.drainTimeouts, 1u);
+    EXPECT_EQ(remoteLifetimeStats().drainTimeouts, lifetimeBefore + 1);
+
+    const std::map<std::string, double> metrics = remoteMetrics();
+    EXPECT_EQ(metrics.at("remote.drain_timeouts"), 1.0);
+    EXPECT_EQ(metrics.count("remote." + loopbackLabel(relay.port()) +
+                            ".ftd.points_served"),
+              0u);
+
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        const SynthResult local =
+            runSim({.config = &config, .workload = &workloads[i]})
+                .synth;
+        EXPECT_EQ(resultHash(remote[i]), resultHash(local)) << i;
+    }
 }
 
 TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)

@@ -449,6 +449,9 @@ TEST(SweepCache, CorruptDiskEntryIsRecomputed)
 
     sweepCache().setDir(dir);
     setSweepCacheEnabled(true);
+    // Start from an empty memory tier: a warm entry (an earlier
+    // --gtest_repeat pass) would answer without writing to disk.
+    sweepCache().clearMemory();
     const SynthResult first = cachedRunSynthetic(cfg, 1, workload);
     const std::string path =
         sweepCache().entryPath(sweepKey(cfg, 1, workload));

@@ -14,11 +14,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "epoch_withholding_relay.hpp"
 #include "golden_hash.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
@@ -154,6 +156,16 @@ class HostileDaemon
     std::thread thread_;
     std::atomic<bool> stop_{false};
 };
+
+/** What reportRemoteStats exports for the most recent remote run. */
+std::map<std::string, double>
+remoteMetrics()
+{
+    telemetry::MetricsRegistry metrics;
+    reportRemoteStats(metrics);
+    metrics.snapshot(0);
+    return metrics.epochs().back().values;
+}
 
 /** An ephemeral port with nothing listening on it. */
 std::uint16_t
@@ -727,6 +739,59 @@ TEST(Sharding, ShardedSyntheticRunMatchesLocalBitForBit)
     EXPECT_EQ(a.server.stats().slicesServed +
                   b.server.stats().slicesServed,
               stats.slicesRemote);
+
+    // Every slice session parted on its batch-closing metricsEpoch,
+    // and each endpoint's gauges come from the last one it sent.
+    EXPECT_EQ(stats.drainTimeouts, 0u);
+    const std::map<std::string, double> metrics = remoteMetrics();
+    EXPECT_EQ(metrics.at("remote.drain_timeouts"), 0.0);
+    for (WithDaemon *daemon : {&a, &b}) {
+        const std::string gauge = "remote.127.0.0.1:" +
+                                  std::to_string(daemon->port()) +
+                                  ".ftd.slices_served";
+        ASSERT_EQ(metrics.count(gauge), 1u) << gauge;
+        EXPECT_EQ(metrics.at(gauge),
+                  static_cast<double>(
+                      daemon->server.stats().slicesServed))
+            << gauge;
+    }
+}
+
+TEST(Sharding, EpochlessDaemonCostsOneBoundedWaitPerSlice)
+{
+    // Each slice session against a daemon that never sends the
+    // batch-closing metricsEpoch ends on the kEpochDrainMs bound: the
+    // answer still counts, the run stays remote and bit-identical.
+    const NocConfig cfg = NocConfig::fastTrack(4, 2, 1);
+    const SyntheticWorkload w = shardWorkload();
+    const RunResult whole = runSim({.config = &cfg, .workload = &w});
+    ASSERT_TRUE(whole.synth.completed);
+
+    WithDaemon daemon;
+    EpochWithholdingRelay relay(daemon.port());
+    const Cycle shard = whole.synth.cycles / 2 + 1; // 2 slices
+    RunResult sharded;
+    {
+        WithRemote wr(loopbackConfig({relay.port()}));
+        RunRequest request;
+        request.config = &cfg;
+        request.workload = &w;
+        sharded = runShardedSim(request, shard);
+    }
+
+    EXPECT_TRUE(sharded.synth.completed);
+    EXPECT_EQ(sharded.synth.cycles, whole.synth.cycles);
+    EXPECT_EQ(hashStats(sharded.synth.stats),
+              hashStats(whole.synth.stats));
+    const RemoteStats stats = remoteStats();
+    EXPECT_GE(stats.slicesRemote, 2u);
+    EXPECT_EQ(stats.slicesFallback, 0u);
+    EXPECT_EQ(stats.reconnects, 0u);
+    EXPECT_EQ(relay.sessions(), stats.slicesRemote);
+    EXPECT_EQ(relay.withheld(), stats.slicesRemote);
+    EXPECT_EQ(stats.drainTimeouts, stats.slicesRemote);
+    EXPECT_EQ(remoteMetrics().at("remote.drain_timeouts"),
+              static_cast<double>(stats.slicesRemote));
 }
 
 TEST(Sharding, ShardedTraceRunMatchesLocalBitForBit)
