@@ -103,6 +103,37 @@ BM_TelemetryStep(benchmark::State &state)
         session.sink().totalDropped());
 }
 
+/**
+ * One closed 256-packet/PE FT(64,2,1) RANDOM run per iteration, device
+ * and injector construction included, at the injection rate given in
+ * percent: the operating points the figure sweeps actually run, where
+ * the injector's share of a cycle is far larger than in the endless
+ * rate-1.0 BM_NetworkStep. Items are router-cycles.
+ */
+void
+BM_SyntheticRun(benchmark::State &state)
+{
+    const NocConfig cfg = NocConfig::fastTrack(8, 2, 1);
+    SyntheticWorkload workload;
+    workload.pattern = TrafficPattern::random;
+    workload.injectionRate = static_cast<double>(state.range(0)) / 100.0;
+    workload.packetsPerPe = 256;
+    std::uint64_t cycles = 0;
+    for (auto _ : state) {
+        Network noc(cfg);
+        SyntheticInjector injector(noc, workload);
+        while (!injector.done()) {
+            injector.tick();
+            noc.step();
+        }
+        cycles += noc.now();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(cycles * cfg.pes()));
+    state.counters["cycles_per_run"] = benchmark::Counter(
+        static_cast<double>(cycles), benchmark::Counter::kAvgIterations);
+}
+
 void
 BM_TraceReplay(benchmark::State &state)
 {
@@ -128,6 +159,13 @@ BENCHMARK(BM_NetworkStep)
     ->Args({16, 1})
     ->Args({32, 1});
 BENCHMARK(BM_NetworkStepTraced)->Arg(16);
+// Injection rate in percent.
+BENCHMARK(BM_SyntheticRun)
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(35)
+    ->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 // {n, traceEvents}: counters-only vs full event tracing.
 BENCHMARK(BM_TelemetryStep)->Args({16, 0})->Args({16, 1});
 BENCHMARK(BM_TraceReplay)->Unit(benchmark::kMillisecond);

@@ -1,5 +1,7 @@
 #include "common/rng.hpp"
 
+#include <cmath>
+
 #include "common/logging.hpp"
 
 namespace fasttrack {
@@ -37,6 +39,17 @@ Rng::nextRange(std::int64_t lo, std::int64_t hi)
     FT_ASSERT(lo <= hi, "nextRange(", lo, ",", hi, ")");
     const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextBelow(span));
+}
+
+std::uint64_t
+Rng::bernoulliThreshold(double p)
+{
+    constexpr std::uint64_t kAlways = std::uint64_t{1} << 53;
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return kAlways;
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 
 Rng

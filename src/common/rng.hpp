@@ -79,6 +79,23 @@ class Rng
     /** Bernoulli draw with probability @p p. */
     bool nextBool(double p) { return nextDouble() < p; }
 
+    /**
+     * Integer threshold T with `(next() >> 11) < T` exactly when
+     * nextBool(p) holds for the same draw: nextDouble() is k * 2^-53
+     * for a 53-bit k, and k * 2^-53 < p iff k < ceil(p * 2^53) (the
+     * product is exact). p <= 0 or NaN gives 0 (never), p >= 1 gives
+     * 2^53 (always). Hot loops compute it once and draw through
+     * nextBernoulli, skipping the per-draw conversion to double.
+     */
+    static std::uint64_t bernoulliThreshold(double p);
+
+    /** Bernoulli draw against a bernoulliThreshold(p) value; the same
+     *  outcome and stream as nextBool(p). */
+    bool nextBernoulli(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
     /** Fork an independent stream (hash-mixed from this stream). */
     Rng split();
 

@@ -20,6 +20,8 @@ measureSteadyState(NocDevice &noc, const SteadyStateConfig &config)
     DestinationGenerator dest(config.pattern, noc.config().n,
                               config.localRadius);
     Rng rng(config.seed);
+    const std::uint64_t threshold =
+        Rng::bernoulliThreshold(config.injectionRate);
     std::vector<std::deque<Packet>> queues(nodes);
 
     const Cycle window_start = config.warmupCycles;
@@ -46,7 +48,7 @@ measureSteadyState(NocDevice &noc, const SteadyStateConfig &config)
         const bool generating = now < window_end;
         for (NodeId node = 0; node < nodes; ++node) {
             auto &q = queues[node];
-            if (generating && rng.nextBool(config.injectionRate)) {
+            if (generating && rng.nextBernoulli(threshold)) {
                 if (q.size() >= config.maxQueue) {
                     ++generation_paused;
                 } else {

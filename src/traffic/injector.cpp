@@ -1,26 +1,26 @@
 #include "traffic/injector.hpp"
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
-
 #include "common/logging.hpp"
 
 namespace fasttrack {
 
 void
-ChunkArena::grow()
+BacklogRing::grow()
 {
-    FT_ASSERT(slotBytes_ <= kBlockBytes, "arena slot larger than block");
-    void *b = std::aligned_alloc(kBlockBytes, kBlockBytes);
-    FT_ASSERT(b != nullptr, "arena block allocation failed");
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    // Best-effort: fall back to 4 KiB pages when THP is unavailable.
-    (void)::madvise(b, kBlockBytes, MADV_HUGEPAGE);
-#endif
-    blocks_.push_back(b);
-    bump_ = static_cast<char *>(b);
-    remaining_ = kBlockBytes;
+    constexpr std::size_t kFirstCapacity = 8;
+    const std::size_t live = size();
+    const std::size_t cap = slots_ ? 2 * capacity() : kFirstCapacity;
+    std::unique_ptr<PendingPacket[], Release> grown(
+        static_cast<PendingPacket *>(
+            ::operator new(cap * sizeof(PendingPacket))));
+    std::size_t out = 0;
+    forEach([&](const PendingPacket &rec) {
+        ::new (&grown[out++]) PendingPacket(rec);
+    });
+    slots_ = std::move(grown);
+    mask_ = cap - 1;
+    head_ = 0;
+    tail_ = live;
 }
 
 SyntheticInjector::SyntheticInjector(NocDevice &noc,
@@ -28,7 +28,8 @@ SyntheticInjector::SyntheticInjector(NocDevice &noc,
     : noc_(noc),
       workload_(workload),
       destGen_(workload.pattern, noc.config().n, workload.localRadius),
-      rng_(workload.seed)
+      rng_(workload.seed),
+      threshold_(Rng::bernoulliThreshold(workload.injectionRate))
 {
     FT_ASSERT(workload_.injectionRate > 0.0 &&
                   workload_.injectionRate <= 1.0,
@@ -36,9 +37,7 @@ SyntheticInjector::SyntheticInjector(NocDevice &noc,
               workload_.injectionRate);
     const std::uint32_t nodes = noc_.config().pes();
     remaining_.assign(nodes, workload_.packetsPerPe);
-    queues_.reserve(nodes);
-    for (std::uint32_t i = 0; i < nodes; ++i)
-        queues_.emplace_back(&chunkArena_);
+    queues_.resize(nodes);
     budgetTotal_ =
         static_cast<std::uint64_t>(nodes) * workload_.packetsPerPe;
 }
@@ -46,37 +45,64 @@ SyntheticInjector::SyntheticInjector(NocDevice &noc,
 void
 SyntheticInjector::tick()
 {
-    const Cycle now = noc_.now();
-    const std::uint32_t nodes = static_cast<std::uint32_t>(
-        queues_.size());
+    // Generation draws from the RNG and never touches the device;
+    // offers touch the device and never draw. Splitting the two keeps
+    // the draw stream and the device's offer sequence those of one
+    // interleaved per-node pass, since node i's offer depends only on
+    // its own queue.
+    if (generatedTotal_ != budgetTotal_)
+        generate(noc_.now());
+    if (queuedTotal_ != 0)
+        offer();
+}
+
+void
+SyntheticInjector::generate(Cycle now)
+{
+    // A local copy keeps the generator words in registers across the
+    // node loop instead of reloading them through `this` per draw.
+    Rng rng = rng_;
+    const std::uint64_t first_id = nextId_;
+    std::uint64_t id = first_id;
+    const NodeId nodes = static_cast<NodeId>(queues_.size());
+    for (NodeId node = 0; node < nodes; ++node) {
+        if (remaining_[node] == 0 || !rng.nextBernoulli(threshold_))
+            continue;
+        PendingPacket rec;
+        rec.id = id++;
+        rec.dst = destGen_.dest(node, rng);
+        rec.created = now;
+        --remaining_[node];
+        queues_[node].push_back(rec);
+    }
+    rng_ = rng;
+    nextId_ = id;
+    generatedTotal_ += id - first_id;
+    queuedTotal_ += id - first_id;
+}
+
+void
+SyntheticInjector::offer()
+{
     // One virtual call per cycle instead of one per node: devices
     // backed by the engine's offer slab expose its occupancy directly.
     const std::uint8_t *pending = noc_.pendingOfferMask();
-    for (NodeId node = 0; node < nodes; ++node) {
-        if (remaining_[node] > 0 &&
-            rng_.nextBool(workload_.injectionRate)) {
-            Pending rec;
-            rec.id = nextId_++;
-            rec.dst = destGen_.dest(node, rng_);
-            rec.created = now;
-            --remaining_[node];
-            ++generatedTotal_;
-            queues_[node].push_back(rec);
-            ++queuedTotal_;
-        }
-        const bool slot_busy = pending ? pending[node] != 0
-                                       : noc_.hasPendingOffer(node);
-        if (!queues_[node].empty() && !slot_busy) {
-            const Pending &rec = queues_[node].front();
-            Packet p;
-            p.id = rec.id;
-            p.src = node;
-            p.dst = rec.dst;
-            p.created = rec.created;
-            noc_.offer(p);
-            queues_[node].pop_front();
-            --queuedTotal_;
-        }
+    const NodeId nodes = static_cast<NodeId>(queues_.size());
+    for (NodeId node = 0; node < nodes && queuedTotal_ != 0; ++node) {
+        BacklogRing &q = queues_[node];
+        if (q.empty())
+            continue;
+        if (pending ? pending[node] != 0 : noc_.hasPendingOffer(node))
+            continue;
+        const PendingPacket &rec = q.front();
+        Packet p;
+        p.id = rec.id;
+        p.src = node;
+        p.dst = rec.dst;
+        p.created = rec.created;
+        noc_.offer(p);
+        q.pop_front();
+        --queuedTotal_;
     }
 }
 
@@ -96,7 +122,7 @@ SyntheticInjector::captureState(InjectorState &out) const
     out.queues.resize(queues_.size());
     for (std::size_t node = 0; node < queues_.size(); ++node) {
         out.queues[node].reserve(queues_[node].size());
-        queues_[node].forEach([&](const Pending &rec) {
+        queues_[node].forEach([&](const PendingPacket &rec) {
             out.queues[node].push_back(rec);
         });
     }
@@ -119,12 +145,11 @@ SyntheticInjector::restoreState(const InjectorState &st)
     rng_.setState(st.rng);
     remaining_ = st.remaining;
     queues_.clear();
-    queues_.reserve(nodes);
+    queues_.resize(nodes);
     queuedTotal_ = 0;
     for (std::size_t node = 0; node < nodes; ++node) {
-        queues_.emplace_back(&chunkArena_);
-        for (const Pending &rec : st.queues[node])
-            queues_.back().push_back(rec);
+        for (const PendingPacket &rec : st.queues[node])
+            queues_[node].push_back(rec);
         queuedTotal_ += st.queues[node].size();
     }
     nextId_ = st.nextId;

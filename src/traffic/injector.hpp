@@ -10,7 +10,7 @@
 #define FT_TRAFFIC_INJECTOR_HPP
 
 #include <array>
-#include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -18,194 +18,6 @@
 #include "traffic/pattern.hpp"
 
 namespace fasttrack {
-
-/**
- * Fixed-slot-size allocator carving chunk storage out of 2 MiB-aligned
- * blocks, with a free list shared by every queue using the arena.
- * A deep source backlog grows by fresh pages every cycle; serving them
- * from hugepage-advised blocks (MADV_HUGEPAGE, where available) takes
- * one page fault per 2 MiB instead of one per 4 KiB, which is the
- * dominant per-cycle cost of backlog growth otherwise.
- */
-class ChunkArena
-{
-  public:
-    explicit ChunkArena(std::size_t slot_bytes)
-        : slotBytes_((slot_bytes + 63) & ~std::size_t{63})
-    {
-    }
-    ~ChunkArena()
-    {
-        for (void *b : blocks_)
-            std::free(b);
-    }
-    ChunkArena(const ChunkArena &) = delete;
-    ChunkArena &operator=(const ChunkArena &) = delete;
-
-    void *allocate()
-    {
-        if (!freeSlots_.empty()) {
-            void *p = freeSlots_.back();
-            freeSlots_.pop_back();
-            return p;
-        }
-        if (remaining_ < slotBytes_)
-            grow();
-        void *p = bump_;
-        bump_ += slotBytes_;
-        remaining_ -= slotBytes_;
-        return p;
-    }
-
-    void release(void *p) { freeSlots_.push_back(p); }
-
-  private:
-    static constexpr std::size_t kBlockBytes = std::size_t{2} << 20;
-
-    void grow();
-
-    std::size_t slotBytes_;
-    std::vector<void *> blocks_;
-    std::vector<void *> freeSlots_;
-    char *bump_ = nullptr;
-    std::size_t remaining_ = 0;
-};
-
-/**
- * Unbounded FIFO stored in fixed-size chunks. Source queues are
- * touched for every node on every cycle, so this is sized for the
- * injector's access pattern: pushes are sequential writes into a large
- * chunk (one allocation per kChunk entries, recycled through the
- * arena's shared free list), pops are an index bump, and — unlike a
- * head-indexed vector — entries are never moved when the queue grows.
- */
-template <typename T>
-class ChunkedQueue
-{
-  public:
-    ChunkedQueue() = default;
-    /** @param arena chunk storage provider; must outlive the queue.
-     *  Without one, chunks come from the global heap. */
-    explicit ChunkedQueue(ChunkArena *arena) : arena_(arena) {}
-    ChunkedQueue(ChunkedQueue &&other) noexcept
-        : arena_(other.arena_),
-          chunks_(std::move(other.chunks_)),
-          headChunk_(other.headChunk_),
-          headOff_(other.headOff_),
-          tailOff_(other.tailOff_),
-          count_(other.count_)
-    {
-        other.chunks_.clear();
-        other.headChunk_ = 0;
-        other.headOff_ = 0;
-        other.tailOff_ = kChunk;
-        other.count_ = 0;
-    }
-    ChunkedQueue(const ChunkedQueue &) = delete;
-    ChunkedQueue &operator=(const ChunkedQueue &) = delete;
-    ~ChunkedQueue()
-    {
-        for (Chunk *c : chunks_) {
-            if (c)
-                freeChunk(c);
-        }
-    }
-
-    /** Slot size an arena serving this queue type must be built with. */
-    static constexpr std::size_t chunkBytes()
-    {
-        return sizeof(Chunk);
-    }
-
-    bool empty() const { return count_ == 0; }
-    std::size_t size() const { return count_; }
-    const T &front() const { return (*chunks_[headChunk_])[headOff_]; }
-
-    /** Visit every queued entry front to back without consuming it
-     *  (checkpoint capture walks the backlog this way). */
-    template <typename F>
-    void forEach(F &&fn) const
-    {
-        std::size_t left = count_;
-        std::size_t off = headOff_;
-        for (std::size_t ci = headChunk_; left > 0; ++ci, off = 0) {
-            const Chunk &c = *chunks_[ci];
-            const std::size_t end = off + left < kChunk ? off + left
-                                                        : kChunk;
-            for (std::size_t i = off; i < end; ++i, --left)
-                fn(c[i]);
-        }
-    }
-
-    void push_back(const T &v)
-    {
-        if (tailOff_ == kChunk) {
-            chunks_.push_back(newChunk());
-            tailOff_ = 0;
-        }
-        (*chunks_.back())[tailOff_++] = v;
-        ++count_;
-    }
-
-    void pop_front()
-    {
-        ++headOff_;
-        --count_;
-        if (count_ == 0) {
-            // Fully drained: only the back chunk is still live (any
-            // consumed predecessors were already recycled).
-            freeChunk(chunks_.back());
-            chunks_.clear();
-            headChunk_ = 0;
-            headOff_ = 0;
-            tailOff_ = kChunk;
-            return;
-        }
-        if (headOff_ == kChunk) {
-            freeChunk(chunks_[headChunk_]);
-            chunks_[headChunk_] = nullptr;
-            ++headChunk_;
-            headOff_ = 0;
-            if (headChunk_ >= 64) {
-                // Compact the consumed chunk-pointer prefix (pointer
-                // moves only; entry storage never relocates).
-                chunks_.erase(chunks_.begin(),
-                              chunks_.begin() +
-                                  static_cast<std::ptrdiff_t>(headChunk_));
-                headChunk_ = 0;
-            }
-        }
-    }
-
-  private:
-    static constexpr std::size_t kChunk = 512;
-    using Chunk = std::array<T, kChunk>;
-
-    Chunk *newChunk()
-    {
-        void *mem = arena_ ? arena_->allocate()
-                           : ::operator new(sizeof(Chunk));
-        // Default-init on purpose: entries are always written by
-        // push_back before they can be read.
-        return ::new (mem) Chunk;
-    }
-
-    void freeChunk(Chunk *c)
-    {
-        c->~Chunk();
-        if (arena_)
-            arena_->release(c);
-        else
-            ::operator delete(c);
-    }
-
-    ChunkArena *arena_ = nullptr;
-    std::vector<Chunk *> chunks_;
-    std::size_t headChunk_ = 0;
-    std::size_t headOff_ = 0;
-    std::size_t tailOff_ = kChunk;
-    std::size_t count_ = 0;
-};
 
 /**
  * Compact queued-packet record of the synthetic injector's source
@@ -219,6 +31,54 @@ struct PendingPacket
     std::uint64_t id = 0;
     Cycle created = 0;
     NodeId dst = kInvalidNode;
+};
+
+/**
+ * One node's source backlog: a FIFO ring of PendingPacket whose
+ * power-of-two capacity doubles when full. A drained ring keeps its
+ * storage, so a lightly loaded node allocates once, on its first
+ * push. Slots are raw storage written only by push_back, so growth
+ * copies the live entries and nothing else.
+ */
+class BacklogRing
+{
+  public:
+    bool empty() const { return head_ == tail_; }
+    std::size_t size() const { return tail_ - head_; }
+    std::size_t capacity() const { return slots_ ? mask_ + 1 : 0; }
+    const PendingPacket &front() const { return slots_[head_ & mask_]; }
+
+    void push_back(const PendingPacket &rec)
+    {
+        if (size() == capacity())
+            grow();
+        ::new (&slots_[tail_++ & mask_]) PendingPacket(rec);
+    }
+
+    void pop_front() { ++head_; }
+
+    /** Visit every queued entry front to back without consuming it
+     *  (checkpoint capture walks the backlog this way). */
+    template <typename F>
+    void forEach(F &&fn) const
+    {
+        for (std::size_t i = head_; i != tail_; ++i)
+            fn(slots_[i & mask_]);
+    }
+
+  private:
+    struct Release
+    {
+        void operator()(PendingPacket *p) const { ::operator delete(p); }
+    };
+
+    void grow();
+
+    std::unique_ptr<PendingPacket[], Release> slots_;
+    std::size_t mask_ = 0;
+    /** Free-running positions; slot = position & mask_. */
+    std::size_t head_ = 0;
+    std::size_t tail_ = 0;
 };
 
 /** Parameters of one synthetic run. */
@@ -261,7 +121,8 @@ class SyntheticInjector
   public:
     SyntheticInjector(NocDevice &noc, const SyntheticWorkload &workload);
 
-    /** Generate this cycle's packets and top up per-node offers. */
+    /** Generate this cycle's packets, then top up per-node offers in
+     *  ascending node order. */
     void tick();
 
     /** All packets generated, offered, injected and delivered. */
@@ -281,16 +142,17 @@ class SyntheticInjector
     bool restoreState(const InjectorState &st);
 
   private:
-    using Pending = PendingPacket;
+    void generate(Cycle now);
+    void offer();
 
     NocDevice &noc_;
     SyntheticWorkload workload_;
     DestinationGenerator destGen_;
     Rng rng_;
+    /** Rng::bernoulliThreshold(workload_.injectionRate). */
+    std::uint64_t threshold_;
     std::vector<std::uint32_t> remaining_;
-    /** Declared before queues_ so every queue dies first. */
-    ChunkArena chunkArena_{ChunkedQueue<Pending>::chunkBytes()};
-    std::vector<ChunkedQueue<Pending>> queues_;
+    std::vector<BacklogRing> queues_;
     std::uint64_t nextId_ = 1;
     std::uint64_t generatedTotal_ = 0;
     std::uint64_t queuedTotal_ = 0;

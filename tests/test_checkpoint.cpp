@@ -8,6 +8,7 @@
  * field set / cycle-guard default are pinned against silent drift.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -228,6 +229,49 @@ TEST(Checkpoint, SlicedSyntheticRunIsBitIdenticalFtInject)
     expectSlicedSyntheticMatchesWhole(
         NocConfig::fastTrack(8, 2, 1, NocVariant::ftInject),
         "synth_ftinject");
+}
+
+TEST(Checkpoint, DeepBacklogSnapshotResumesBitIdentically)
+{
+    // At rate 1.0 every PE generates each cycle while FT(64,2,1)
+    // injects about a third of that, so the source rings grow through
+    // several doublings and, between doublings, wrap. Snapshots taken
+    // at several depths must all resume to the uninterrupted result.
+    const NocConfig cfg = NocConfig::fastTrack(8, 2, 1);
+    SyntheticWorkload w = checkpointWorkload();
+    w.injectionRate = 1.0;
+    Network whole_noc(cfg);
+    const RunResult whole =
+        runSim({.device = &whole_noc, .workload = &w});
+    ASSERT_TRUE(whole.synth.completed);
+
+    for (const Cycle at : {Cycle{90}, Cycle{160}, Cycle{230}, Cycle{300}}) {
+        ASSERT_LT(at, whole.synth.cycles);
+        Snapshot mid;
+        const RunResult first = runSim(
+            {.config = &cfg,
+             .workload = &w,
+             .sim = {.maxCycles = at, .captureFinal = &mid}});
+        ASSERT_TRUE(first.finalCaptured);
+        ASSERT_FALSE(first.synth.completed);
+        std::size_t deepest = 0;
+        for (const auto &q : mid.injector.queues)
+            deepest = std::max(deepest, q.size());
+        EXPECT_GT(deepest, 8u) << "backlog never outgrew a first ring";
+        EXPECT_GT(first.synth.stats.injected, 0u);
+
+        Network rest_noc(cfg);
+        const RunResult rest =
+            runSim({.device = &rest_noc,
+                    .workload = &w,
+                    .sim = {.resumeSnapshot = &mid}});
+        EXPECT_TRUE(rest.resumed);
+        EXPECT_TRUE(rest.synth.completed);
+        EXPECT_EQ(rest.synth.cycles, whole.synth.cycles) << at;
+        EXPECT_EQ(hashStats(rest.synth.stats), hashStats(whole.synth.stats))
+            << at;
+        EXPECT_EQ(hashCounters(rest_noc), hashCounters(whole_noc)) << at;
+    }
 }
 
 TEST(Checkpoint, SlicedTraceRunIsBitIdenticalDataflow)

@@ -9,6 +9,13 @@
  * hashes; an intentional behavior change must re-record them (run the
  * suite and copy the "actual" values printed by the failures) and
  * justify the delta in the commit message.
+ *
+ * The lineup runs at rate 0.35; the injector-stream pins below add
+ * the sweep's other operating points (0.01, 0.1 and 1.0, where the
+ * source backlog runs deepest) and the LOCAL and BITCOMPL patterns
+ * (LOCAL draws its destination through Rng::nextBelow, BITCOMPL draws
+ * none), so any change to the Bernoulli draw, the draw order or the
+ * backlog order trips a hash.
  */
 
 #include <gtest/gtest.h>
@@ -27,11 +34,12 @@ namespace {
 
 /** Run the standard closed workload on @p noc and hash the result. */
 std::uint64_t
-runLineup(NocDevice &noc, TrafficPattern pattern, std::uint64_t seed)
+runLineup(NocDevice &noc, TrafficPattern pattern, std::uint64_t seed,
+          double rate = 0.35)
 {
     SyntheticWorkload workload;
     workload.pattern = pattern;
-    workload.injectionRate = 0.35;
+    workload.injectionRate = rate;
     workload.packetsPerPe = 200;
     workload.seed = seed;
     SyntheticInjector injector(noc, workload);
@@ -93,6 +101,73 @@ TEST(GoldenStats, InjectVariant8D2R2Random)
     EXPECT_EQ(runLineup(noc, TrafficPattern::random, 16),
               17854748734557977273ull);
     EXPECT_EQ(hashCounters(noc), 13686134556581311563ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1RandomRate001)
+{
+    Network noc(NocConfig::fastTrack(8, 2, 1));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 21, 0.01),
+              9299356382054477720ull);
+    EXPECT_EQ(hashCounters(noc), 14286071398348069609ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1RandomRate01)
+{
+    Network noc(NocConfig::fastTrack(8, 2, 1));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 22, 0.1),
+              12540334761272333784ull);
+    EXPECT_EQ(hashCounters(noc), 4930803823207013150ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1RandomRate1)
+{
+    Network noc(NocConfig::fastTrack(8, 2, 1));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 23, 1.0),
+              18013994756933619533ull);
+    EXPECT_EQ(hashCounters(noc), 14492772209335656436ull);
+}
+
+TEST(GoldenStats, Hoplite8RandomRate1)
+{
+    Network noc(NocConfig::hoplite(8));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 24, 1.0),
+              13675002397351456228ull);
+    EXPECT_EQ(hashCounters(noc), 2160571293944836642ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1LocalRate01)
+{
+    Network noc(NocConfig::fastTrack(8, 2, 1));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::local, 25, 0.1),
+              2571842207434517803ull);
+    EXPECT_EQ(hashCounters(noc), 2507656607519816469ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1Local)
+{
+    Network noc(NocConfig::fastTrack(8, 2, 1));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::local, 26),
+              7636900414667454214ull);
+    EXPECT_EQ(hashCounters(noc), 16246869957365275850ull);
+}
+
+TEST(GoldenStats, FastTrack8D2R1BitComplementRate01)
+{
+    Network noc(NocConfig::fastTrack(8, 2, 1));
+    EXPECT_EQ(runLineup(noc, TrafficPattern::bitComplement, 27, 0.1),
+              1961072237549892257ull);
+    EXPECT_EQ(hashCounters(noc), 16592406591017908952ull);
+}
+
+TEST(GoldenStats, MultiChannel8x2RandomRate1)
+{
+    // Multi-channel devices expose no offer mask: this pins the
+    // injector's hasPendingOffer path under a deep backlog.
+    MultiChannelNoc noc(NocConfig::hoplite(8), 2);
+    EXPECT_EQ(runLineup(noc, TrafficPattern::random, 28, 1.0),
+              11489421480199238474ull);
+    EXPECT_EQ(hashCounters(noc.channel(0)), 3709569917576265562ull);
+    EXPECT_EQ(hashCounters(noc.channel(1)), 12956357701994216383ull);
 }
 
 } // namespace

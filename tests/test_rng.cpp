@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -96,6 +98,50 @@ TEST(Rng, BernoulliRate)
         for (int i = 0; i < kDraws; ++i)
             hits += rng.nextBool(p);
         EXPECT_NEAR(static_cast<double>(hits) / kDraws, p, 0.02);
+    }
+}
+
+TEST(Rng, BernoulliThresholdIsExact)
+{
+    // nextBernoulli(T) holds for the 53-bit draw k iff k < T; that
+    // must agree with nextDouble() < p, i.e. k * 2^-53 < p, on both
+    // sides of the threshold.
+    constexpr std::uint64_t kDraws53 = std::uint64_t{1} << 53;
+    const double below_one = std::nextafter(1.0, 0.0);
+    for (double p : {std::ldexp(1.0, -53), 0.01, 0.1, 0.35, below_one,
+                     1.0}) {
+        const std::uint64_t t = Rng::bernoulliThreshold(p);
+        ASSERT_GT(t, 0u) << p;
+        ASSERT_LE(t, kDraws53) << p;
+        for (std::uint64_t k : {t - 1, t, t + 1}) {
+            if (k >= kDraws53)
+                continue; // not a possible 53-bit draw
+            EXPECT_EQ(k < t, std::ldexp(static_cast<double>(k), -53) < p)
+                << "p=" << p << " k=" << k;
+        }
+    }
+    EXPECT_EQ(Rng::bernoulliThreshold(1.0), kDraws53);
+    EXPECT_EQ(Rng::bernoulliThreshold(below_one), kDraws53 - 1);
+    EXPECT_EQ(Rng::bernoulliThreshold(std::ldexp(1.0, -53)), 1u);
+    EXPECT_EQ(Rng::bernoulliThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(-0.5), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(
+                  std::numeric_limits<double>::quiet_NaN()),
+              0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(2.0), kDraws53);
+}
+
+TEST(Rng, NextBernoulliMatchesNextBoolStream)
+{
+    for (double p : {std::ldexp(1.0, -53), 0.01, 0.1, 0.35,
+                     std::nextafter(1.0, 0.0), 1.0}) {
+        const std::uint64_t t = Rng::bernoulliThreshold(p);
+        Rng a(29), b(29);
+        int mismatches = 0;
+        for (int i = 0; i < 1000000; ++i)
+            mismatches += a.nextBernoulli(t) != b.nextBool(p);
+        EXPECT_EQ(mismatches, 0) << "p=" << p;
+        EXPECT_EQ(a.state(), b.state()) << "p=" << p;
     }
 }
 

@@ -53,6 +53,40 @@ TEST(SteadyState, AgreesWithClosedRunsAtSaturation)
                 closed.sustainedRate() * 0.10);
 }
 
+TEST(SteadyState, ResultsArePinned)
+{
+    // Exact results at fixed seeds, below and above saturation and
+    // with a LOCAL pattern (destinations drawn through nextBelow), so
+    // any change to the per-node Bernoulli draw or the draw order
+    // shows up here.
+    struct Case
+    {
+        TrafficPattern pattern;
+        double rate;
+        std::uint64_t created;
+        std::uint64_t delivered;
+        double avgLatency;
+    };
+    const Case cases[] = {
+        {TrafficPattern::random, 0.1, 12934, 12902, 4.6355342508118227},
+        {TrafficPattern::local, 0.3, 38624, 38591, 2.3480737365368252},
+        {TrafficPattern::random, 1.0, 42449, 38157, 202.00197884520034},
+    };
+    for (const Case &c : cases) {
+        auto noc = makeNoc(NocConfig::fastTrack(8, 2, 1), 1);
+        SteadyStateConfig cfg;
+        cfg.pattern = c.pattern;
+        cfg.injectionRate = c.rate;
+        cfg.warmupCycles = 500;
+        cfg.measureCycles = 2000;
+        cfg.seed = 31;
+        const SteadyStateResult res = measureSteadyState(*noc, cfg);
+        EXPECT_EQ(res.windowCreated, c.created) << c.rate;
+        EXPECT_EQ(res.windowDelivered, c.delivered) << c.rate;
+        EXPECT_EQ(res.avgLatency, c.avgLatency) << c.rate;
+    }
+}
+
 TEST(SteadyState, WindowAccountingConsistent)
 {
     auto noc = makeNoc(NocConfig::hoplite(4), 1);

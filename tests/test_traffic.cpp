@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "noc/network.hpp"
 #include "sim/simulation.hpp"
@@ -88,6 +89,110 @@ TEST(Pattern, NamesRoundTrip)
 {
     for (TrafficPattern p : kAllPatterns)
         EXPECT_EQ(patternFromString(toString(p)), p);
+}
+
+PendingPacket
+pending(std::uint64_t id)
+{
+    PendingPacket rec;
+    rec.id = id;
+    rec.created = id * 3;
+    rec.dst = static_cast<NodeId>(id % 64);
+    return rec;
+}
+
+std::vector<std::uint64_t>
+ringIds(const BacklogRing &ring)
+{
+    std::vector<std::uint64_t> ids;
+    ring.forEach([&](const PendingPacket &rec) { ids.push_back(rec.id); });
+    return ids;
+}
+
+TEST(BacklogRing, FifoOrderSurvivesGrowthWithWrappedHead)
+{
+    BacklogRing ring;
+    EXPECT_TRUE(ring.empty());
+    EXPECT_EQ(ring.capacity(), 0u);
+    std::uint64_t pushed = 0;
+    std::uint64_t popped = 0;
+    ring.push_back(pending(++pushed));
+    const std::size_t first_cap = ring.capacity();
+    ASSERT_GE(first_cap, 2u);
+    while (ring.size() < first_cap)
+        ring.push_back(pending(++pushed));
+    // Pop half, refill to full: the live range now wraps the end of
+    // the storage, so the next push grows a wrapped ring.
+    for (std::size_t i = 0; i < first_cap / 2; ++i) {
+        EXPECT_EQ(ring.front().id, ++popped);
+        ring.pop_front();
+    }
+    while (ring.size() < first_cap)
+        ring.push_back(pending(++pushed));
+    EXPECT_EQ(ring.capacity(), first_cap);
+    ring.push_back(pending(++pushed));
+    EXPECT_EQ(ring.capacity(), 2 * first_cap);
+    EXPECT_EQ(ring.size(), first_cap + 1);
+    // Grow three more times, each from a full ring whose head sits
+    // mid-storage.
+    for (int round = 0; round < 3; ++round) {
+        const std::size_t cap = ring.capacity();
+        for (std::size_t i = 0; i < cap / 3; ++i) {
+            EXPECT_EQ(ring.front().id, ++popped);
+            ring.pop_front();
+        }
+        while (ring.size() < cap)
+            ring.push_back(pending(++pushed));
+        EXPECT_EQ(ring.capacity(), cap);
+        ring.push_back(pending(++pushed));
+        EXPECT_EQ(ring.capacity(), 2 * cap);
+    }
+    while (!ring.empty()) {
+        const PendingPacket rec = ring.front();
+        ++popped;
+        EXPECT_EQ(rec.id, popped);
+        EXPECT_EQ(rec.created, popped * 3);
+        EXPECT_EQ(rec.dst, static_cast<NodeId>(popped % 64));
+        ring.pop_front();
+    }
+    EXPECT_EQ(popped, pushed);
+}
+
+TEST(BacklogRing, ForEachVisitsInPopOrder)
+{
+    BacklogRing ring;
+    std::uint64_t pushed = 0;
+    for (int i = 0; i < 13; ++i)
+        ring.push_back(pending(++pushed));
+    for (int i = 0; i < 9; ++i)
+        ring.pop_front();
+    for (int i = 0; i < 10; ++i)
+        ring.push_back(pending(++pushed)); // wraps the 16-slot storage
+    const std::vector<std::uint64_t> seen = ringIds(ring);
+    ASSERT_EQ(seen.size(), ring.size());
+    for (std::uint64_t id : seen) {
+        EXPECT_EQ(ring.front().id, id);
+        ring.pop_front();
+    }
+    EXPECT_TRUE(ring.empty());
+    EXPECT_TRUE(ringIds(ring).empty());
+}
+
+TEST(BacklogRing, DrainedRingKeepsItsStorage)
+{
+    BacklogRing ring;
+    for (std::uint64_t id = 1; id <= 20; ++id)
+        ring.push_back(pending(id));
+    const std::size_t cap = ring.capacity();
+    while (!ring.empty())
+        ring.pop_front();
+    EXPECT_EQ(ring.capacity(), cap);
+    for (std::uint64_t round = 0; round < 100; ++round) {
+        ring.push_back(pending(round));
+        EXPECT_EQ(ring.front().id, round);
+        ring.pop_front();
+    }
+    EXPECT_EQ(ring.capacity(), cap);
 }
 
 TEST(Injector, GeneratesExactBudget)
