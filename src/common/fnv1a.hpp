@@ -12,8 +12,10 @@
 #ifndef FT_COMMON_FNV1A_HPP
 #define FT_COMMON_FNV1A_HPP
 
-#include <cstdint>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
 
 namespace fasttrack {
 
@@ -36,6 +38,23 @@ class Fnv1a
     {
         for (int i = 0; i < 8; ++i)
             addByte(static_cast<std::uint8_t>(word >> (8 * i)));
+    }
+    /** Feed one struct field as a u64 word: an integer or enum by
+     *  value, a bool as 0/1, a double by its bit pattern. */
+    template <typename T>
+    void addField(T field)
+    {
+        if constexpr (std::is_floating_point_v<T>)
+            add(std::bit_cast<std::uint64_t>(field));
+        else
+            add(static_cast<std::uint64_t>(field));
+    }
+    /** Feed every field a forEachField visitor lists, in its order. */
+    template <typename Fields>
+    void addFields(const Fields &fields)
+    {
+        Fields::forEachField(fields,
+                             [this](auto field) { addField(field); });
     }
     std::uint64_t value() const { return hash_; }
 

@@ -50,10 +50,13 @@ inline constexpr std::uint32_t kFrameMagic = 0x504e5446u;
 /** Bump on any change to the frame layout or message payloads. A
  *  version mismatch is detected on the first frame of a session and
  *  answered with MessageType::error (code kErrBadVersion).
- *  v2: kFlagPartial fragmentation + snapshotRequest/snapshotResult. */
-inline constexpr std::uint32_t kWireVersion = 2;
+ *  v2: kFlagPartial fragmentation + the temporal-shard slice messages.
+ *  v3: one run request/result pair (runRequest/runResult) carries
+ *  sweep points and temporal-shard slices alike; the result gained a
+ *  cache-hit flag. */
+inline constexpr std::uint32_t kWireVersion = 3;
 
-/** Upper bound on a frame payload. Generous for sweep results (a
+/** Upper bound on a frame payload. Generous for run results (a
  *  SynthResult payload is a few KiB) while keeping a forged length
  *  prefix from looking plausible. Larger messages (snapshots) are
  *  split into partial frames by sendMessage. */
@@ -78,10 +81,14 @@ enum class MessageType : std::uint16_t
     /** Server -> client accept: u32 wire version, u32 sweep schema,
      *  u32 granted window (the server's per-session queue bound). */
     helloAck = 2,
-    /** Client -> server: one sweep point (sim/remote.hpp codec). */
-    sweepRequest = 3,
-    /** Server -> client: one sweep point result. */
-    sweepResult = 4,
+    /** Client -> server: one run — a whole-run sweep point or a
+     *  temporal-shard slice (sim/remote.hpp ShardSliceRequest codec;
+     *  may span multiple partial frames). */
+    runRequest = 3,
+    /** Server -> client: the run's stats, plus the trimmed handoff
+     *  snapshot of an unfinished slice (ShardSliceResult codec; may
+     *  span multiple partial frames). */
+    runResult = 4,
     /** Server -> client: a MetricsRegistry telemetry epoch (u32
      *  count, then per metric: string name, f64 value). */
     metricsEpoch = 5,
@@ -90,12 +97,6 @@ enum class MessageType : std::uint16_t
     error = 6,
     /** Client -> server: orderly session end. */
     goodbye = 7,
-    /** Client -> server: one temporal-shard slice (sim/remote.hpp
-     *  ShardSliceRequest codec; may span multiple partial frames). */
-    snapshotRequest = 8,
-    /** Server -> client: slice stats + the trimmed handoff snapshot
-     *  (ShardSliceResult codec; may span multiple partial frames). */
-    snapshotResult = 9,
 };
 
 /** Error codes carried by MessageType::error payloads. */

@@ -201,6 +201,9 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
         }
     } else if (hs == FrameStatus::timeout) {
         idleTimeouts_.fetch_add(1, std::memory_order_relaxed);
+    } else if (hs == FrameStatus::badVersion) {
+        // A peer of another wire version frames its hello with it.
+        protocolError(0, kErrBadVersion, "wire version mismatch");
     } else if (hs != FrameStatus::closed) {
         protocolError(0, kErrBadRequest,
                       std::string("expected hello, got ") +
@@ -230,8 +233,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
                     session_over = true;
                     break;
                 }
-                if (frame.type != MessageType::sweepRequest &&
-                    frame.type != MessageType::snapshotRequest) {
+                if (frame.type != MessageType::runRequest) {
                     protocolError(frame.requestId, kErrBadRequest,
                                   "unexpected message type");
                     session_over = true;
@@ -269,7 +271,7 @@ FrameServer::runSession(std::shared_ptr<Socket> socket,
                     session_over = true;
                     break;
                 }
-                // sendMessage so an oversized snapshotResult payload
+                // sendMessage so an oversized runResult payload
                 // fragments instead of overflowing the frame cap.
                 if (sendMessage(sock, response, io_ms) !=
                     FrameStatus::ok) {

@@ -142,7 +142,8 @@ class WireReader
     {
         if (size_ - pos_ < n)
             return false;
-        std::memcpy(p, data_ + pos_, n);
+        if (n != 0) // an empty destination may be null
+            std::memcpy(p, data_ + pos_, n);
         pos_ += n;
         return true;
     }

@@ -15,32 +15,36 @@ toString(NocVariant variant)
     return "?";
 }
 
+const char *
+NocConfig::violation() const
+{
+    if (n < 2)
+        return "NoC side must be >= 2";
+    if (shortLinkStages > 8 || expressLinkStages > 8)
+        return "more than 8 extra link stages is not meaningful";
+    if (!isFastTrack())
+        return nullptr;
+    if (d < 1 || d > n / 2)
+        return "express length D must be in [1, N/2]";
+    if (r < 1 || r > d)
+        return "depopulation R must be in [1, D]";
+    if (d % r != 0)
+        return "R must divide D so express links chain through "
+               "express-capable routers";
+    if (r > 1 && n % r != 0)
+        return "depopulated NoCs need R | N so the express braid "
+               "stays balanced across the torus wraparound";
+    if (variant == NocVariant::ftInject && n % d != 0)
+        return "inject-only FastTrack needs D | N so deflected "
+               "express packets realign";
+    return nullptr;
+}
+
 void
 NocConfig::validate() const
 {
-    if (n < 2)
-        FT_FATAL("NoC side must be >= 2, got ", n);
-    if (shortLinkStages > 8 || expressLinkStages > 8)
-        FT_FATAL("more than 8 extra link stages is not meaningful");
-    if (!isFastTrack())
-        return;
-    if (d < 1 || d > n / 2)
-        FT_FATAL("express length D must be in [1, N/2]: D=", d, " N=", n);
-    if (r < 1 || r > d)
-        FT_FATAL("depopulation R must be in [1, D]: R=", r, " D=", d);
-    if (d % r != 0) {
-        FT_FATAL("R must divide D so express links chain through "
-                 "express-capable routers: R=", r, " D=", d);
-    }
-    if (r > 1 && n % r != 0) {
-        FT_FATAL("depopulated NoCs need R | N so the express braid "
-                 "stays balanced across the torus wraparound: R=", r,
-                 " N=", n);
-    }
-    if (variant == NocVariant::ftInject && n % d != 0) {
-        FT_FATAL("inject-only FastTrack needs D | N so deflected "
-                 "express packets realign: D=", d, " N=", n);
-    }
+    if (const char *why = violation())
+        FT_FATAL(why, ": N=", n, " D=", d, " R=", r);
 }
 
 NocSpec

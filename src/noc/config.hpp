@@ -7,6 +7,7 @@
 #ifndef FT_NOC_CONFIG_HPP
 #define FT_NOC_CONFIG_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -77,8 +78,34 @@ struct NocConfig
     bool isFastTrack() const { return variant != NocVariant::hoplite; }
     std::uint32_t pes() const { return n * n; }
 
+    /** The first constraint (see above) this combination breaks, or
+     *  nullptr when it is valid. The one rule list: validate() aborts
+     *  on it, the ftd wire decoder rejects on it. */
+    const char *violation() const;
+
     /** Abort with a user-facing error if the combination is invalid. */
     void validate() const;
+
+    /**
+     * The one field list: calls @p visit on every field, in key and
+     * wire order. Content keys (sweepKey, checkpointKey) and the ftd
+     * wire codec derive from it, so a new field is hashed and sent
+     * the moment it is listed here (and the static_assert below
+     * fails until it is). @p Self is NocConfig or const NocConfig.
+     */
+    template <typename Self, typename Visit>
+    static constexpr void forEachField(Self &self, Visit &&visit)
+    {
+        visit(self.n);
+        visit(self.d);
+        visit(self.r);
+        visit(self.variant);
+        visit(self.allowExpressTurn);
+        visit(self.allowUpgrade);
+        visit(self.turnPriority);
+        visit(self.shortLinkStages);
+        visit(self.expressLinkStages);
+    }
 
     /** Express-link length as seen by the cost models (0 = none). */
     std::uint32_t costD() const { return isFastTrack() ? d : 0; }
@@ -96,6 +123,26 @@ struct NocConfig
                                std::uint32_t r,
                                NocVariant variant = NocVariant::ftFull);
 };
+
+namespace detail {
+
+/** Fields forEachField visits; the structured binding fails to
+ *  compile as soon as NocConfig's member count differs from it. */
+consteval std::size_t
+nocConfigFieldCount()
+{
+    NocConfig config{};
+    [[maybe_unused]] auto &[n, d, r, variant, turn, upgrade, priority,
+                            short_stages, express_stages] = config;
+    std::size_t fields = 0;
+    NocConfig::forEachField(config, [&fields](auto &) { ++fields; });
+    return fields;
+}
+
+} // namespace detail
+
+static_assert(detail::nocConfigFieldCount() == 9,
+              "NocConfig::forEachField must list every field");
 
 } // namespace fasttrack
 

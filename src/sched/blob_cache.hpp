@@ -10,19 +10,17 @@
  * bit-deterministic in those inputs, a key hit can substitute the
  * stored result for a re-run.
  *
- * On-disk format (one file per entry, named ft-<key:016x>.ftrc in
- * the configured directory; every field explicit little-endian so
- * an entry written on one host validates on any other — the
- * distributed fabric shares these files across nodes):
- *
- *   u32 magic 'FTRC'   u32 schemaVersion   u64 key
- *   u64 payloadBytes   payload...          u64 fnv1a(payload)
+ * On-disk format: one file per entry, named ft-<key:016x>.ftrc in
+ * the configured directory, in the shared checksummed container
+ * (sched/container.hpp) with magic 'FTRC'. Every field is explicit
+ * little-endian, so an entry written on one host validates on any
+ * other — the distributed fabric shares these files across nodes.
  *
  * Every load re-validates magic, schema, key, length and the
- * trailing self-check hash; a truncated, corrupt or stale-schema
- * file counts as corrupt and the result is recomputed, never
- * trusted. Writes go to a temp file renamed into place, so a reader
- * never observes a half-written entry.
+ * trailing self-check hash; any status other than ok (truncated,
+ * corrupt, stale schema, ...) counts as corrupt and the result is
+ * recomputed, never trusted. Writes go to a temp file renamed into
+ * place, so a reader never observes a half-written entry.
  *
  * Disk growth is bounded: setMaxDiskBytes(cap) enables LRU-ish
  * eviction (oldest write time first) whenever the store exceeds the

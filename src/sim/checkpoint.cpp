@@ -1,10 +1,7 @@
 #include "sim/checkpoint.hpp"
 
-#include <bit>
 #include <filesystem>
-#include <fstream>
 #include <limits>
-#include <unistd.h>
 
 #include "common/fnv1a.hpp"
 #include "common/logging.hpp"
@@ -28,23 +25,6 @@ constexpr std::size_t kCycleDigits = 20;
 static_assert(std::numeric_limits<Cycle>::digits10 + 1 <=
                   kCycleDigits,
               "kCycleDigits cannot represent every Cycle value");
-
-/** Feed the NocConfig words a run's trajectory depends on — the same
- *  list sweepKey hashes (sim/sweep_cache.hpp). */
-void
-addConfig(Fnv1a &h, const NocConfig &config, std::uint32_t channels)
-{
-    h.add(config.n);
-    h.add(config.d);
-    h.add(config.r);
-    h.add(static_cast<std::uint64_t>(config.variant));
-    h.add(config.allowExpressTurn ? 1 : 0);
-    h.add(config.allowUpgrade ? 1 : 0);
-    h.add(config.turnPriority ? 1 : 0);
-    h.add(config.shortLinkStages);
-    h.add(config.expressLinkStages);
-    h.add(channels);
-}
 
 void
 encodeInjectorState(net::WireWriter &w, const InjectorState &st)
@@ -165,30 +145,6 @@ decodeTraceReplayState(net::WireReader &r, TraceReplayState &st)
 
 } // namespace
 
-const char *
-toString(SnapshotStatus s)
-{
-    switch (s) {
-    case SnapshotStatus::ok:
-        return "ok";
-    case SnapshotStatus::ioError:
-        return "io-error";
-    case SnapshotStatus::truncated:
-        return "truncated";
-    case SnapshotStatus::badMagic:
-        return "bad-magic";
-    case SnapshotStatus::badSchema:
-        return "bad-schema";
-    case SnapshotStatus::badKey:
-        return "bad-key";
-    case SnapshotStatus::badChecksum:
-        return "bad-checksum";
-    case SnapshotStatus::malformed:
-        return "malformed";
-    }
-    return "unknown";
-}
-
 std::uint64_t
 checkpointKey(const NocConfig &config, std::uint32_t channels,
               const SyntheticWorkload &workload)
@@ -196,12 +152,9 @@ checkpointKey(const NocConfig &config, std::uint32_t channels,
     Fnv1a h;
     h.add(kCheckpointSchema);
     h.add(static_cast<std::uint64_t>(SnapshotKind::synthetic));
-    addConfig(h, config, channels);
-    h.add(static_cast<std::uint64_t>(workload.pattern));
-    h.add(std::bit_cast<std::uint64_t>(workload.injectionRate));
-    h.add(workload.packetsPerPe);
-    h.add(workload.localRadius);
-    h.add(workload.seed);
+    h.addFields(config);
+    h.add(channels);
+    h.addFields(workload);
     return h.value();
 }
 
@@ -212,7 +165,8 @@ checkpointKey(const NocConfig &config, std::uint32_t channels,
     Fnv1a h;
     h.add(kCheckpointSchema);
     h.add(static_cast<std::uint64_t>(SnapshotKind::trace));
-    addConfig(h, config, channels);
+    h.addFields(config);
+    h.add(channels);
     h.add(trace.n);
     h.add(trace.messages.size());
     for (const TraceMessage &m : trace.messages) {
@@ -284,44 +238,15 @@ SnapshotStatus
 writeSnapshotFile(const std::string &dir, std::uint64_t key,
                   const Snapshot &snap, std::string *path_out)
 {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (ec)
-        return SnapshotStatus::ioError;
-
-    const std::vector<std::uint8_t> payload = encodeSnapshot(snap);
-    Fnv1a check;
-    check.addBytes(payload.data(), payload.size());
-
-    net::WireWriter w;
-    w.u32(kCheckpointMagic);
-    w.u32(kCheckpointSchema);
-    w.u64(key);
-    w.u64(payload.size());
-    w.bytes(payload.data(), payload.size());
-    w.u64(check.value());
-
     const std::string name = snapshotFileName(snap.cycle());
     if (name.empty())
         return SnapshotStatus::ioError;
     const std::string path = (fs::path(dir) / name).string();
-    // Temp-then-rename so a reader never sees a half-written file.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return SnapshotStatus::ioError;
-        os.write(reinterpret_cast<const char *>(w.buffer().data()),
-                 static_cast<std::streamsize>(w.size()));
-        if (!os)
-            return SnapshotStatus::ioError;
-    }
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        fs::remove(tmp, ec);
+    if (!sched::writeFileAtomically(
+            path, sched::sealContainer(
+                      {kCheckpointMagic, kCheckpointSchema, key},
+                      encodeSnapshot(snap))))
         return SnapshotStatus::ioError;
-    }
     if (path_out)
         *path_out = path;
     return SnapshotStatus::ok;
@@ -331,49 +256,14 @@ SnapshotStatus
 readSnapshotFile(const std::string &path, std::uint64_t expected_key,
                  Snapshot &out)
 {
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
+    std::vector<std::uint8_t> bytes, payload;
+    if (!sched::readFileBytes(path, bytes))
         return SnapshotStatus::ioError;
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(is)),
-        std::istreambuf_iterator<char>());
-    if (is.bad())
-        return SnapshotStatus::ioError;
-
-    net::WireReader r(bytes);
-    std::uint32_t magic = 0, schema = 0;
-    std::uint64_t key = 0, payload_bytes = 0;
-    if (!r.u32(magic))
-        return SnapshotStatus::truncated;
-    if (magic != kCheckpointMagic)
-        return SnapshotStatus::badMagic;
-    if (!r.u32(schema))
-        return SnapshotStatus::truncated;
-    if (schema != kCheckpointSchema)
-        return SnapshotStatus::badSchema;
-    if (!r.u64(key))
-        return SnapshotStatus::truncated;
-    if (key != expected_key)
-        return SnapshotStatus::badKey;
-    if (!r.u64(payload_bytes))
-        return SnapshotStatus::truncated;
-    if (r.remaining() < payload_bytes + 8)
-        return SnapshotStatus::truncated;
-    if (r.remaining() != payload_bytes + 8)
-        return SnapshotStatus::malformed; // trailing garbage
-
-    std::vector<std::uint8_t> payload(
-        static_cast<std::size_t>(payload_bytes));
-    if (!r.bytes(payload.data(), payload.size()))
-        return SnapshotStatus::truncated;
-    std::uint64_t stored_check = 0;
-    if (!r.u64(stored_check))
-        return SnapshotStatus::truncated;
-    Fnv1a check;
-    check.addBytes(payload.data(), payload.size());
-    if (check.value() != stored_check)
-        return SnapshotStatus::badChecksum;
-
+    const SnapshotStatus status = sched::openContainer(
+        bytes, {kCheckpointMagic, kCheckpointSchema, expected_key},
+        payload);
+    if (status != SnapshotStatus::ok)
+        return status;
     if (!decodeSnapshot(payload, out))
         return SnapshotStatus::malformed;
     return SnapshotStatus::ok;

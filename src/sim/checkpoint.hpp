@@ -13,11 +13,8 @@
  * slice's file) produces golden-stats hashes identical to the
  * uninterrupted run.
  *
- * On-disk container (same discipline as sched/blob_cache entries,
- * every field explicit little-endian via net/wire.hpp):
- *
- *   u32 magic 'FTCP'   u32 schemaVersion   u64 key
- *   u64 payloadBytes   payload...          u64 fnv1a(payload)
+ * On-disk container: the checksummed layout sched/blob_cache
+ * entries use too (sched/container.hpp), with magic 'FTCP'.
  *
  * The key is a content hash of the run's *inputs* (config, channels,
  * workload or full trace — not maxCycles, which only guards, never
@@ -39,6 +36,7 @@
 #include <vector>
 
 #include "noc/engine_state.hpp"
+#include "sched/container.hpp"
 #include "traffic/injector.hpp"
 #include "traffic/trace.hpp"
 #include "traffic/trace_replay.hpp"
@@ -86,25 +84,9 @@ struct Snapshot
     void trimState() { engine.trim(); }
 };
 
-/** Typed verdict of a snapshot load. */
-enum class SnapshotStatus
-{
-    ok,
-    /** File missing or unreadable. */
-    ioError,
-    /** Shorter than the header + declared payload + trailer. */
-    truncated,
-    badMagic,
-    badSchema,
-    /** Snapshot is for different run inputs. */
-    badKey,
-    /** Payload self-check hash mismatch (corruption). */
-    badChecksum,
-    /** Container validated but the payload does not parse. */
-    malformed,
-};
-
-const char *toString(SnapshotStatus s);
+/** Typed verdict of a snapshot load: the container's statuses, plus
+ *  malformed for a payload that does not decode. */
+using SnapshotStatus = sched::ContainerStatus;
 
 /** Content key of a synthetic run's inputs (config + channels +
  *  workload; deliberately excludes maxCycles — the guard bounds the

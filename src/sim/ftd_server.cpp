@@ -84,102 +84,124 @@ FtdServer::reportTo(telemetry::MetricsRegistry &metrics) const
     sched::WorkStealingPool::global().reportTo(metrics);
 }
 
+namespace {
+
+/** The key the request's inputs hash to (ShardSliceRequest::key). */
+std::uint64_t
+derivedKey(const ShardSliceRequest &r)
+{
+    return r.kind == SnapshotKind::synthetic
+               ? checkpointKey(r.config, r.channels, r.workload)
+               : checkpointKey(r.config, r.channels, r.trace);
+}
+
+bool
+wholeSyntheticRun(const ShardSliceRequest &r)
+{
+    return r.kind == SnapshotKind::synthetic && r.wholeRun();
+}
+
+/** Run one decoded request the cache pre-pass did not answer: a
+ *  whole synthetic run through the sweep cache, like a local sweep
+ *  point; anything else as a slice. Returns why the request is
+ *  rejected, or nullptr with @p out filled. */
+const char *
+runRequest(const ShardSliceRequest &r, ShardSliceResult &out)
+{
+    if (!wholeSyntheticRun(r))
+        return runSliceLocally(r, out);
+    out.synth = cachedRunSynthetic(r.config, r.channels, r.workload,
+                                   r.runMaxCycles);
+    out.done = true;
+    return nullptr;
+}
+
+} // namespace
+
 std::vector<net::Frame>
 FtdServer::handle(std::vector<net::Frame> batch)
 {
     struct Item
     {
-        std::uint64_t requestId = 0;
-        SweepRequest request;
-        /** Encoded SynthResult: spliced from the blob cache when the
-         *  pre-pass hit, computed otherwise. */
-        std::vector<std::uint8_t> payload;
-        bool hit = false;
-        bool bad = false;
-        /** Temporal-shard slice (snapshotRequest); handled apart
-         *  from the sweep points, response pre-built. */
-        bool slice = false;
-        net::Frame sliceResponse;
+        ShardSliceRequest request;
+        /** Why the request is rejected (nullptr: answer it). */
+        const char *rejected = nullptr;
+        ShardSliceResult result;
     };
     std::vector<Item> items(batch.size());
 
-    // Decode + validate + cache pre-pass. The pre-pass both supplies
-    // the response's cache-hit flag and lets hits skip the simulator
-    // entirely (their payload bytes are spliced straight through).
+    // Decode + validate + key check + cache pre-pass. The pre-pass
+    // both supplies a whole run's cache-hit flag and lets hits skip
+    // the simulator entirely.
     sched::BlobCache &cache = sweepCache();
     const bool cacheOn = sweepCacheEnabled();
+    std::vector<std::size_t> work;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         Item &item = items[i];
-        item.requestId = batch[i].requestId;
-        if (batch[i].type == net::MessageType::snapshotRequest) {
-            item.slice = true;
-            item.sliceResponse = handleSlice(batch[i]);
+        const ShardSliceRequest &r = item.request;
+        if (!decodeShardSliceRequestPayload(batch[i].payload,
+                                            item.request)) {
+            item.rejected = "malformed or invalid run request";
             continue;
         }
-        if (!decodeSweepRequestPayload(batch[i].payload,
-                                       item.request)) {
-            item.bad = true;
-            badRequests_.fetch_add(1, std::memory_order_relaxed);
+        // Re-derive the key from the inputs that actually arrived: a
+        // snapshot may only continue exactly this run, so a confused
+        // (or hostile) client gets a typed rejection instead of a
+        // silently wrong continuation.
+        if (derivedKey(r) != r.key) {
+            item.rejected = "run key mismatch";
             continue;
         }
-        if (!cacheOn)
-            continue;
-        const std::uint64_t key =
-            sweepKey(item.request.config, item.request.channels,
-                     item.request.workload, item.request.maxCycles);
-        if (auto payload = cache.lookup(key)) {
-            SynthResult check;
-            if (decodeSynthResult(*payload, check)) {
-                item.payload = std::move(*payload);
-                item.hit = true;
+        if (cacheOn && wholeSyntheticRun(r)) {
+            const auto payload = cache.lookup(sweepKey(
+                r.config, r.channels, r.workload, r.runMaxCycles));
+            if (payload &&
+                decodeSynthResult(*payload, item.result.synth)) {
+                item.result.done = true;
+                item.result.cacheHit = true;
+                continue;
             }
         }
+        work.push_back(i);
     }
 
-    // Every miss of the batch, whatever its config, channel count or
-    // cycle guard, runs as one bulk job on the pool. Pinned to the
-    // local path: a handler must never re-enter remote dispatch, even
-    // when this process also has remote endpoints configured
+    // Every miss and slice of the batch, whatever its config, channel
+    // count or budget, runs as one bulk job on the pool. Pinned to
+    // the local path: a handler must never re-enter remote dispatch,
+    // even when this process also has remote endpoints configured
     // (in-process daemons in tests).
-    std::vector<std::size_t> misses;
-    for (std::size_t i = 0; i < items.size(); ++i)
-        if (!items[i].bad && !items[i].hit && !items[i].slice)
-            misses.push_back(i);
     sched::ensureGlobalPool();
-    std::vector<std::vector<std::uint8_t>> computed = parallelMap(
-        misses,
+    const std::vector<const char *> rejected = parallelMap(
+        work,
         [&](std::size_t i) {
-            const SweepRequest &r = items[i].request;
-            return encodeSynthResult(cachedRunSynthetic(
-                r.config, r.channels, r.workload, r.maxCycles));
+            return runRequest(items[i].request, items[i].result);
         },
         0, "ftd");
-    for (std::size_t j = 0; j < misses.size(); ++j)
-        items[misses[j]].payload = std::move(computed[j]);
+    for (std::size_t j = 0; j < work.size(); ++j)
+        items[work[j]].rejected = rejected[j];
 
     // Answer in arrival order, then append the telemetry epoch.
     std::vector<net::Frame> responses;
     responses.reserve(items.size() + 1);
     for (std::size_t i = 0; i < items.size(); ++i) {
-        Item &item = items[i];
-        if (item.slice) {
-            responses.push_back(std::move(item.sliceResponse));
-            continue;
-        }
-        if (item.bad) {
+        const Item &item = items[i];
+        if (item.rejected != nullptr) {
+            badRequests_.fetch_add(1, std::memory_order_relaxed);
             responses.push_back(net::makeErrorFrame(
-                item.requestId, net::kErrBadRequest,
-                "malformed or invalid sweep request"));
+                batch[i].requestId, net::kErrBadRequest, item.rejected));
             continue;
         }
-        pointsServed_.fetch_add(1, std::memory_order_relaxed);
-        if (item.hit)
-            cacheHits_.fetch_add(1, std::memory_order_relaxed);
+        if (wholeSyntheticRun(item.request)) {
+            pointsServed_.fetch_add(1, std::memory_order_relaxed);
+            if (item.result.cacheHit)
+                cacheHits_.fetch_add(1, std::memory_order_relaxed);
+        } else {
+            slicesServed_.fetch_add(1, std::memory_order_relaxed);
+        }
         net::Frame frame;
-        frame.type = net::MessageType::sweepResult;
-        frame.requestId = item.requestId;
-        frame.payload = encodeSweepResultPayload(
-            item.request.pointIndex, item.hit, item.payload);
+        frame.type = net::MessageType::runResult;
+        frame.requestId = batch[i].requestId;
+        frame.payload = encodeShardSliceResultPayload(item.result);
         responses.push_back(std::move(frame));
     }
 
@@ -192,91 +214,6 @@ FtdServer::handle(std::vector<net::Frame> batch)
         encodeMetricsPayload(registry.epochs().back().values);
     responses.push_back(std::move(epoch));
     return responses;
-}
-
-net::Frame
-FtdServer::handleSlice(const net::Frame &frame)
-{
-    const auto reject = [&](const char *why) {
-        badRequests_.fetch_add(1, std::memory_order_relaxed);
-        return net::makeErrorFrame(frame.requestId,
-                                   net::kErrBadRequest, why);
-    };
-
-    ShardSliceRequest request;
-    if (!decodeShardSliceRequestPayload(frame.payload, request))
-        return reject("malformed or invalid slice request");
-
-    // Re-derive the checkpoint key from the inputs that actually
-    // arrived: a snapshot may only continue exactly this run, so a
-    // confused (or hostile) client gets a typed rejection instead of
-    // a silently wrong continuation.
-    const std::uint64_t key =
-        request.kind == SnapshotKind::synthetic
-            ? checkpointKey(request.config, request.channels,
-                            request.workload)
-            : checkpointKey(request.config, request.channels,
-                            request.trace);
-    if (key != request.key)
-        return reject("slice key mismatch");
-
-    Cycle consumed = 0;
-    if (request.hasSnapshot) {
-        if (request.snapshot.cycle() < request.snapshot.runStart)
-            return reject("slice snapshot predates its run start");
-        consumed = request.snapshot.cycle() - request.snapshot.runStart;
-    }
-    if (consumed >= request.runMaxCycles)
-        return reject("slice starts at or past runMaxCycles");
-
-    auto noc = makeNoc(request.config, request.channels);
-    Snapshot next;
-    RunRequest run;
-    run.device = noc.get();
-    if (request.kind == SnapshotKind::synthetic)
-        run.workload = &request.workload;
-    else
-        run.trace = &request.trace;
-    // sliceCycles is decode-bounded (kMaxSliceCycles) but consumed is
-    // only bounded by runMaxCycles, so the sum must saturate.
-    run.sim.maxCycles =
-        std::min(request.runMaxCycles,
-                 saturatingAddCycles(consumed, request.sliceCycles));
-    run.sim.resumeSnapshot =
-        request.hasSnapshot ? &request.snapshot : nullptr;
-    run.sim.captureFinal = &next;
-    const RunResult res = runSim(run);
-    // runSim degrades a rejected snapshot to a fresh run — right for
-    // an interactive resume, wrong for a slice whose stats would then
-    // double-count the run's start. Fail loudly instead.
-    if (request.hasSnapshot && !res.resumed)
-        return reject("slice snapshot was not restorable");
-    if (!res.finalCaptured)
-        return reject("slice state capture failed");
-
-    ShardSliceResult result;
-    result.kind = request.kind;
-    result.synth = res.synth;
-    result.trace = res.trace;
-    const Cycle advanced = next.cycle() - next.runStart;
-    result.done = (request.kind == SnapshotKind::trace
-                       ? res.trace.completed
-                       : res.synth.completed) ||
-                  advanced >= request.runMaxCycles;
-    if (!result.done) {
-        // The handoff contract: the next slice resumes the traffic
-        // mid-flight but measures only itself (docs/checkpoint.md).
-        next.trimState();
-        result.hasSnapshot = true;
-        result.snapshot = std::move(next);
-    }
-    slicesServed_.fetch_add(1, std::memory_order_relaxed);
-
-    net::Frame response;
-    response.type = net::MessageType::snapshotResult;
-    response.requestId = frame.requestId;
-    response.payload = encodeShardSliceResultPayload(result);
-    return response;
 }
 
 } // namespace fasttrack

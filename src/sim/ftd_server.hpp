@@ -1,27 +1,29 @@
 /**
  * @file
- * The ftd daemon's sweep service: a net::FrameServer whose handler
- * turns sweepRequest frames into SynthResults.
+ * The ftd daemon's run service: a net::FrameServer whose one handler
+ * answers runRequest messages (ShardSliceRequest, sim/remote.hpp)
+ * with runResult messages (ShardSliceResult).
  *
- * Each drained batch is answered in arrival order — one sweepResult
- * (or error) frame per request — followed by exactly one
+ * Each drained batch is answered in arrival order — one runResult
+ * (or error) message per request — followed by exactly one
  * metricsEpoch frame carrying the daemon's current telemetry
  * (sweep-cache, pool and ftd counters), so clients can aggregate
  * fleet health without a separate monitoring channel.
  *
- * Requests are validated before they touch the simulator: a frame
- * that decodes but carries an invalid NocConfig/workload gets a
- * kErrBadRequest error frame, never a daemon abort. The batch's cache
- * misses, whatever their config, run together on the work-stealing
- * pool through the blob cache, like a local sweep — a warm daemon
- * answers straight from its cache, flagged via the response's
- * cache-hit bit.
- *
- * snapshotRequest frames carry one temporal-shard slice of a long
- * run (docs/distributed.md, "Temporal sharding"): the daemon resumes
- * from the embedded trimmed snapshot, advances sliceCycles, and
- * answers with the slice's stats plus the next trimmed snapshot —
- * statelessly, so any daemon of the fleet can serve any slice.
+ * Requests are validated before they touch the simulator: a message
+ * that decodes but carries an invalid config, workload or trace, or
+ * a key that does not match its inputs, gets a kErrBadRequest error
+ * frame, never a daemon abort. Two kinds of request share the batch:
+ *   - a sweep point, a whole synthetic run with no snapshot: a warm
+ *     daemon answers it straight from its blob cache, flagged via
+ *     the result's cacheHit bit;
+ *   - a temporal-shard slice of a long run (docs/distributed.md,
+ *     "Temporal sharding"): the daemon resumes from the embedded
+ *     trimmed snapshot, advances sliceCycles, and answers with the
+ *     slice's stats plus the next trimmed snapshot — statelessly, so
+ *     any daemon of the fleet can serve any slice.
+ * The batch's cache misses and slices, whatever their config, run
+ * together as one bulk job on the work-stealing pool.
  */
 
 #ifndef FT_SIM_FTD_SERVER_HPP
@@ -54,13 +56,13 @@ class FtdServer
     /** Sweep-service counters (frame-level ones via netStats). */
     struct Stats
     {
-        /** Points answered with a sweepResult frame. */
+        /** Sweep points (whole synthetic runs) answered. */
         std::uint64_t pointsServed = 0;
         /** Of those, answered from the blob cache. */
         std::uint64_t cacheHits = 0;
         /** Requests rejected as malformed or invalid. */
         std::uint64_t badRequests = 0;
-        /** Temporal-shard slices answered with a snapshotResult. */
+        /** Other runRequests answered: temporal-shard slices. */
         std::uint64_t slicesServed = 0;
     };
     Stats stats() const;
@@ -72,10 +74,6 @@ class FtdServer
 
   private:
     std::vector<net::Frame> handle(std::vector<net::Frame> batch);
-    /** Execute one temporal-shard slice (snapshotRequest frame):
-     *  resume from the embedded trimmed snapshot, advance
-     *  sliceCycles, answer with the slice's stats + next snapshot. */
-    net::Frame handleSlice(const net::Frame &frame);
 
     net::FrameServer server_;
     std::atomic<std::uint64_t> pointsServed_{0};

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -125,54 +126,29 @@ bump(std::atomic<std::uint64_t> &counter, std::uint64_t by = 1)
     counter.fetch_add(by, std::memory_order_relaxed);
 }
 
-/** Range/consistency checks mirroring NocConfig::validate, minus the
- *  process abort: a daemon must reject a hostile request, not die on
- *  it. The size caps bound what one frame can make the daemon
- *  allocate or step. */
+/** NocConfig's own rule list plus a size cap: a daemon must reject
+ *  a hostile request, not die on it, and the cap bounds what one
+ *  frame can make the daemon allocate or step. */
 bool
 validConfigOnWire(const NocConfig &c)
 {
-    if (c.n < 2 || c.n > 1024)
-        return false;
-    if (c.shortLinkStages > 8 || c.expressLinkStages > 8)
-        return false;
-    if (c.isFastTrack()) {
-        if (c.d < 1 || c.d > c.n / 2)
-            return false;
-        if (c.r < 1 || c.r > c.d || c.d % c.r != 0)
-            return false;
-        if (c.r > 1 && c.n % c.r != 0)
-            return false;
-        if (c.variant == NocVariant::ftInject && c.n % c.d != 0)
-            return false;
-    }
-    return true;
+    return c.n <= 1024 && c.violation() == nullptr;
 }
 
+/** The injector's preconditions, the pattern's rule on @p config's
+ *  torus, and size caps on the budget and radius. */
 bool
-validWorkloadOnWire(const SyntheticWorkload &w)
+validWorkloadOnWire(const SyntheticWorkload &w, const NocConfig &config)
 {
     if (!std::isfinite(w.injectionRate) || w.injectionRate <= 0.0 ||
         w.injectionRate > 1.0)
         return false;
     if (w.packetsPerPe < 1 || w.packetsPerPe > (1u << 20))
         return false;
-    if (w.pattern == TrafficPattern::local &&
-        (w.localRadius < 1 || w.localRadius > 1024))
+    if (w.pattern == TrafficPattern::local && w.localRadius > 1024)
         return false;
-    return true;
-}
-
-bool
-validSweepRequest(const SweepRequest &request)
-{
-    if (!validConfigOnWire(request.config))
-        return false;
-    if (request.channels < 1 || request.channels > 64)
-        return false;
-    if (!validWorkloadOnWire(request.workload))
-        return false;
-    return request.maxCycles >= 1;
+    return patternViolation(w.pattern, config.n, w.localRadius) ==
+           nullptr;
 }
 
 /**
@@ -259,19 +235,24 @@ drainEpochAndPart(const RemoteConfig &cfg,
     net::sendFrame(sock, goodbye, cfg.ioTimeoutMs);
 }
 
+/** Accepts and files a decoded answer to the request at an index of
+ *  the session's payload list; false rejects it as a rogue peer's. */
+using AnswerCheck =
+    std::function<bool(std::size_t index, ShardSliceResult &answer)>;
+
 /**
  * One connection's worth of work: connect, handshake, pipeline the
- * points of @p remaining, harvest results. Serviced indices are
- * removed from @p remaining; @p permanent is set when the endpoint
- * rejected us for a reason retrying cannot fix (version/schema).
+ * run requests @p remaining names (indices into @p payloads, sent as
+ * request ids) within the granted window, and hand each decoded
+ * runResult to @p accept. Answered indices are removed from
+ * @p remaining; @p permanent is set when the endpoint rejected us for
+ * a reason retrying cannot fix (version/schema).
  */
 void
 serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
                 std::vector<std::size_t> &remaining,
                 const std::vector<std::vector<std::uint8_t>> &payloads,
-                std::vector<SynthResult> &results,
-                std::vector<std::uint8_t> &origin,
-                std::vector<std::uint8_t> &remote_hit, RunCounters &run,
+                const AnswerCheck &accept, RunCounters &run,
                 bool &permanent)
 {
     std::uint32_t window = 0;
@@ -280,7 +261,10 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
     if (!sock.valid())
         return;
 
-    // --- Pipeline --------------------------------------------------
+    // Per payload index: not sent on this session, in flight, or
+    // answered.
+    constexpr std::uint8_t kUnsent = 0, kInFlight = 1, kAnswered = 2;
+    std::vector<std::uint8_t> state(payloads.size(), kUnsent);
     std::size_t next = 0; // next entry of `remaining` to send
     std::size_t inflight = 0;
     bool dead = false;
@@ -288,14 +272,15 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
         while (inflight < window && next < remaining.size()) {
             const std::size_t idx = remaining[next];
             net::Frame request;
-            request.type = net::MessageType::sweepRequest;
+            request.type = net::MessageType::runRequest;
             request.requestId = idx;
             request.payload = payloads[idx];
-            if (net::sendFrame(sock, request, cfg.ioTimeoutMs) !=
+            if (net::sendMessage(sock, request, cfg.ioTimeoutMs) !=
                 net::FrameStatus::ok) {
                 dead = true;
                 break;
             }
+            state[idx] = kInFlight;
             ++inflight;
             ++next;
         }
@@ -303,8 +288,8 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
             break;
 
         net::Frame frame;
-        if (net::recvFrame(sock, frame, cfg.resultWaitMs,
-                           cfg.ioTimeoutMs) != net::FrameStatus::ok)
+        if (net::recvMessage(sock, frame, cfg.resultWaitMs,
+                             cfg.ioTimeoutMs) != net::FrameStatus::ok)
             break;
         if (frame.type == net::MessageType::metricsEpoch) {
             std::map<std::string, double> values;
@@ -319,7 +304,7 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
             if (net::parseErrorFrame(frame, code, message)) {
                 permanent = code == net::kErrBadVersion ||
                             code == net::kErrBadSchema;
-                // A per-request rejection: that point falls back
+                // A per-request rejection: that request falls back
                 // locally, the session can keep serving the rest.
                 if (code == net::kErrBadRequest) {
                     --inflight;
@@ -328,33 +313,22 @@ serveConnection(const RemoteConfig &cfg, const net::Endpoint &endpoint,
             }
             break;
         }
-        if (frame.type != net::MessageType::sweepResult)
+        // The id must name a request this session sent and has not
+        // yet had answered; anything else is a rogue peer.
+        const std::uint64_t idx = frame.requestId;
+        ShardSliceResult answer;
+        if (frame.type != net::MessageType::runResult ||
+            idx >= state.size() || state[idx] != kInFlight ||
+            !decodeShardSliceResultPayload(frame.payload, answer) ||
+            !accept(idx, answer))
             break;
-        std::uint32_t point = 0;
-        bool hit = false;
-        SynthResult result;
-        if (!decodeSweepResultPayload(frame.payload, point, hit,
-                                      result))
-            break;
-        const std::size_t idx =
-            static_cast<std::size_t>(frame.requestId);
-        // The id must name a point this session actually sent and
-        // not yet received; anything else is a rogue peer.
-        const auto sentEnd = remaining.begin() +
-                             static_cast<std::ptrdiff_t>(next);
-        if (point != frame.requestId ||
-            std::find(remaining.begin(), sentEnd, idx) == sentEnd ||
-            origin[idx] != kOriginPending)
-            break;
-        results[idx] = result;
-        remote_hit[idx] = hit ? 1 : 0;
-        origin[idx] = kOriginRemote;
+        state[idx] = kAnswered;
         --inflight;
     }
 
     // Strip what this connection served.
-    std::erase_if(remaining, [&origin](std::size_t idx) {
-        return origin[idx] != kOriginPending;
+    std::erase_if(remaining, [&state](std::size_t idx) {
+        return state[idx] == kAnswered;
     });
 
     // Take the final batch's closing metricsEpoch, then part.
@@ -369,10 +343,7 @@ runEndpointWorker(const RemoteConfig &cfg,
                   const net::Endpoint &endpoint,
                   std::vector<std::size_t> points,
                   const std::vector<std::vector<std::uint8_t>> &payloads,
-                  std::vector<SynthResult> &results,
-                  std::vector<std::uint8_t> &origin,
-                  std::vector<std::uint8_t> &remote_hit,
-                  RunCounters &run)
+                  const AnswerCheck &accept, RunCounters &run)
 {
     unsigned failures = 0; // consecutive attempts with no progress
     while (!points.empty() && failures < cfg.maxAttempts) {
@@ -384,15 +355,13 @@ runEndpointWorker(const RemoteConfig &cfg,
         }
         bool permanent = false;
         const std::size_t before = points.size();
-        serveConnection(cfg, endpoint, points, payloads, results,
-                        origin, remote_hit, run, permanent);
+        serveConnection(cfg, endpoint, points, payloads, accept, run,
+                        permanent);
         if (permanent)
             break;
         // Progress resets the budget: a flaky worker that keeps
         // serving some of each window gets drained, not abandoned.
         failures = points.size() < before ? 1 : failures + 1;
-        if (points.size() < before && points.empty())
-            break;
     }
 }
 
@@ -508,27 +477,39 @@ remoteRuns(const NocConfig &config, std::uint32_t channels,
         }
     }
 
-    // Encode the pending requests once, shard them round-robin.
+    // Encode the pending points once, as whole runs, and shard them
+    // round-robin.
     std::vector<std::vector<std::uint8_t>> payloads(count);
     std::vector<std::vector<std::size_t>> shards(cfg.endpoints.size());
     std::size_t pending = 0;
+    ShardSliceRequest request;
+    request.config = config;
+    request.channels = channels;
+    request.sliceCycles = max_cycles;
+    request.runMaxCycles = max_cycles;
     for (std::size_t i = 0; i < count; ++i) {
         if (origin[i] != kOriginPending)
             continue;
-        SweepRequest request;
-        request.pointIndex = static_cast<std::uint32_t>(i);
-        request.config = config;
-        request.channels = channels;
         request.workload = workloads[i];
-        request.maxCycles = max_cycles;
-        payloads[i] = encodeSweepRequestPayload(request);
+        request.key = checkpointKey(config, channels, workloads[i]);
+        payloads[i] = encodeShardSliceRequestPayload(request);
         shards[pending % shards.size()].push_back(i);
         ++pending;
     }
+    // A whole run's answer is final and synthetic.
+    const AnswerCheck accept = [&](std::size_t i,
+                                   ShardSliceResult &answer) {
+        if (answer.kind != SnapshotKind::synthetic || !answer.done)
+            return false;
+        results[i] = answer.synth;
+        remoteHit[i] = answer.cacheHit ? 1 : 0;
+        origin[i] = kOriginRemote;
+        return true;
+    };
 
     if (pending > 0 && shards.size() == 1) {
         runEndpointWorker(cfg, cfg.endpoints[0], shards[0], payloads,
-                          results, origin, remoteHit, run);
+                          accept, run);
     } else if (pending > 0) {
         std::vector<std::thread> workers;
         workers.reserve(shards.size());
@@ -537,8 +518,7 @@ remoteRuns(const NocConfig &config, std::uint32_t channels,
                 continue;
             workers.emplace_back([&, e] {
                 runEndpointWorker(cfg, cfg.endpoints[e], shards[e],
-                                  payloads, results, origin,
-                                  remoteHit, run);
+                                  payloads, accept, run);
             });
         }
         for (std::thread &worker : workers)
@@ -570,97 +550,6 @@ remoteRuns(const NocConfig &config, std::uint32_t channels,
 }
 
 // --- Message payload codecs ----------------------------------------
-
-std::vector<std::uint8_t>
-encodeSweepRequestPayload(const SweepRequest &request)
-{
-    net::WireWriter w;
-    w.u32(request.pointIndex);
-    const NocConfig &c = request.config;
-    w.u32(c.n);
-    w.u32(c.d);
-    w.u32(c.r);
-    w.u32(static_cast<std::uint32_t>(c.variant));
-    w.u8(c.allowExpressTurn ? 1 : 0);
-    w.u8(c.allowUpgrade ? 1 : 0);
-    w.u8(c.turnPriority ? 1 : 0);
-    w.u32(c.shortLinkStages);
-    w.u32(c.expressLinkStages);
-    w.u32(request.channels);
-    const SyntheticWorkload &wl = request.workload;
-    w.u32(static_cast<std::uint32_t>(wl.pattern));
-    w.f64(wl.injectionRate);
-    w.u32(wl.packetsPerPe);
-    w.u32(wl.localRadius);
-    w.u64(wl.seed);
-    w.u64(request.maxCycles);
-    return w.take();
-}
-
-bool
-decodeSweepRequestPayload(const std::vector<std::uint8_t> &payload,
-                          SweepRequest &out)
-{
-    SweepRequest request;
-    NocConfig &c = request.config;
-    SyntheticWorkload &wl = request.workload;
-    std::uint32_t variant = 0, pattern = 0;
-    std::uint8_t expressTurn = 0, upgrade = 0, turnPriority = 0;
-    net::WireReader r(payload);
-    const bool ok =
-        r.u32(request.pointIndex) && r.u32(c.n) && r.u32(c.d) &&
-        r.u32(c.r) && r.u32(variant) && r.u8(expressTurn) &&
-        r.u8(upgrade) && r.u8(turnPriority) &&
-        r.u32(c.shortLinkStages) && r.u32(c.expressLinkStages) &&
-        r.u32(request.channels) && r.u32(pattern) &&
-        r.f64(wl.injectionRate) && r.u32(wl.packetsPerPe) &&
-        r.u32(wl.localRadius) && r.u64(wl.seed) &&
-        r.u64(request.maxCycles) && r.atEnd();
-    if (!ok)
-        return false;
-    if (variant > static_cast<std::uint32_t>(NocVariant::ftInject) ||
-        pattern > static_cast<std::uint32_t>(TrafficPattern::transpose))
-        return false;
-    c.variant = static_cast<NocVariant>(variant);
-    c.allowExpressTurn = expressTurn != 0;
-    c.allowUpgrade = upgrade != 0;
-    c.turnPriority = turnPriority != 0;
-    wl.pattern = static_cast<TrafficPattern>(pattern);
-    if (!validSweepRequest(request))
-        return false;
-    out = request;
-    return true;
-}
-
-std::vector<std::uint8_t>
-encodeSweepResultPayload(std::uint32_t point_index, bool cache_hit,
-                         const std::vector<std::uint8_t> &result_payload)
-{
-    net::WireWriter w;
-    w.u32(point_index);
-    w.u8(cache_hit ? 1 : 0);
-    w.u32(static_cast<std::uint32_t>(result_payload.size()));
-    w.bytes(result_payload.data(), result_payload.size());
-    return w.take();
-}
-
-bool
-decodeSweepResultPayload(const std::vector<std::uint8_t> &payload,
-                         std::uint32_t &point_index, bool &cache_hit,
-                         SynthResult &out)
-{
-    net::WireReader r(payload);
-    std::uint8_t hit = 0;
-    std::uint32_t resultBytes = 0;
-    if (!r.u32(point_index) || !r.u8(hit) || !r.u32(resultBytes) ||
-        resultBytes == 0 || r.remaining() != resultBytes)
-        return false;
-    std::vector<std::uint8_t> resultPayload(resultBytes);
-    if (!r.bytes(resultPayload.data(), resultPayload.size()))
-        return false;
-    cache_hit = hit != 0;
-    return decodeSynthResult(resultPayload, out);
-}
 
 std::vector<std::uint8_t>
 encodeMetricsPayload(const std::map<std::string, double> &values)
@@ -708,60 +597,81 @@ constexpr std::size_t kMinTraceMessageBytes = 8 + 4 + 4 + 8 + 8 + 4;
 /** Cap on a trace name on the wire (names label, never shape). */
 constexpr std::size_t kMaxTraceNameBytes = 4096;
 
+/** Last valid value of each enum a field list carries. */
+constexpr std::uint32_t
+enumLimit(NocVariant)
+{
+    return static_cast<std::uint32_t>(NocVariant::ftInject);
+}
+
+constexpr std::uint32_t
+enumLimit(TrafficPattern)
+{
+    return static_cast<std::uint32_t>(TrafficPattern::transpose);
+}
+
+/** Wire form of one struct field: u32 for a u32, u8 (0/1) for a
+ *  bool, u32 for an enum, f64 for a double, u64 for a u64. */
+template <typename T>
 void
-encodeConfigFields(net::WireWriter &w, const NocConfig &c)
+writeField(net::WireWriter &w, T field)
 {
-    w.u32(c.n);
-    w.u32(c.d);
-    w.u32(c.r);
-    w.u32(static_cast<std::uint32_t>(c.variant));
-    w.u8(c.allowExpressTurn ? 1 : 0);
-    w.u8(c.allowUpgrade ? 1 : 0);
-    w.u8(c.turnPriority ? 1 : 0);
-    w.u32(c.shortLinkStages);
-    w.u32(c.expressLinkStages);
+    if constexpr (std::is_same_v<T, bool>)
+        w.u8(field ? 1 : 0);
+    else if constexpr (std::is_enum_v<T>)
+        w.u32(static_cast<std::uint32_t>(field));
+    else if constexpr (std::is_same_v<T, double>)
+        w.f64(field);
+    else if constexpr (std::is_same_v<T, std::uint64_t>)
+        w.u64(field);
+    else
+        w.u32(field);
 }
 
+/** Inverse of writeField; rejects out-of-range bools and enums. */
+template <typename T>
 bool
-decodeConfigFields(net::WireReader &r, NocConfig &c)
+readField(net::WireReader &r, T &field)
 {
-    std::uint32_t variant = 0;
-    std::uint8_t expressTurn = 0, upgrade = 0, turnPriority = 0;
-    if (!r.u32(c.n) || !r.u32(c.d) || !r.u32(c.r) || !r.u32(variant) ||
-        !r.u8(expressTurn) || !r.u8(upgrade) || !r.u8(turnPriority) ||
-        !r.u32(c.shortLinkStages) || !r.u32(c.expressLinkStages))
-        return false;
-    if (variant > static_cast<std::uint32_t>(NocVariant::ftInject))
-        return false;
-    c.variant = static_cast<NocVariant>(variant);
-    c.allowExpressTurn = expressTurn != 0;
-    c.allowUpgrade = upgrade != 0;
-    c.turnPriority = turnPriority != 0;
-    return validConfigOnWire(c);
+    if constexpr (std::is_same_v<T, bool>) {
+        std::uint8_t v = 0;
+        if (!r.u8(v) || v > 1)
+            return false;
+        field = v != 0;
+        return true;
+    } else if constexpr (std::is_enum_v<T>) {
+        std::uint32_t v = 0;
+        if (!r.u32(v) || v > enumLimit(T{}))
+            return false;
+        field = static_cast<T>(v);
+        return true;
+    } else if constexpr (std::is_same_v<T, double>) {
+        return r.f64(field);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+        return r.u64(field);
+    } else {
+        static_assert(std::is_same_v<T, std::uint32_t>);
+        return r.u32(field);
+    }
 }
 
+/** Every field a forEachField visitor lists, in its order. */
+template <typename Fields>
 void
-encodeWorkloadFields(net::WireWriter &w, const SyntheticWorkload &wl)
+writeFields(net::WireWriter &w, const Fields &fields)
 {
-    w.u32(static_cast<std::uint32_t>(wl.pattern));
-    w.f64(wl.injectionRate);
-    w.u32(wl.packetsPerPe);
-    w.u32(wl.localRadius);
-    w.u64(wl.seed);
+    Fields::forEachField(fields,
+                         [&w](auto field) { writeField(w, field); });
 }
 
+template <typename Fields>
 bool
-decodeWorkloadFields(net::WireReader &r, SyntheticWorkload &wl)
+readFields(net::WireReader &r, Fields &fields)
 {
-    std::uint32_t pattern = 0;
-    if (!r.u32(pattern) || !r.f64(wl.injectionRate) ||
-        !r.u32(wl.packetsPerPe) || !r.u32(wl.localRadius) ||
-        !r.u64(wl.seed))
-        return false;
-    if (pattern > static_cast<std::uint32_t>(TrafficPattern::transpose))
-        return false;
-    wl.pattern = static_cast<TrafficPattern>(pattern);
-    return validWorkloadOnWire(wl);
+    bool ok = true;
+    Fields::forEachField(
+        fields, [&](auto &field) { ok = ok && readField(r, field); });
+    return ok;
 }
 
 void
@@ -845,10 +755,10 @@ encodeShardSliceRequestPayload(const ShardSliceRequest &request)
 {
     net::WireWriter w;
     w.u8(static_cast<std::uint8_t>(request.kind));
-    encodeConfigFields(w, request.config);
+    writeFields(w, request.config);
     w.u32(request.channels);
     if (request.kind == SnapshotKind::synthetic)
-        encodeWorkloadFields(w, request.workload);
+        writeFields(w, request.workload);
     else
         encodeTraceFields(w, request.trace);
     w.u64(request.sliceCycles);
@@ -876,18 +786,18 @@ decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
          kind != static_cast<std::uint8_t>(SnapshotKind::trace)))
         return false;
     request.kind = static_cast<SnapshotKind>(kind);
-    if (!decodeConfigFields(r, request.config))
+    if (!readFields(r, request.config) ||
+        !validConfigOnWire(request.config) || !r.u32(request.channels))
         return false;
-    // Slice execution resumes/captures engine state, which only
-    // single-channel devices support — reject, never FT_FATAL in
-    // planSnapshots on a daemon.
-    if (!r.u32(request.channels) || request.channels != 1)
-        return false;
+    // The runner's preconditions are checked here, never left to an
+    // FT_FATAL or FT_ASSERT inside a daemon.
     if (request.kind == SnapshotKind::synthetic) {
-        if (!decodeWorkloadFields(r, request.workload))
+        if (!readFields(r, request.workload) ||
+            !validWorkloadOnWire(request.workload, request.config))
             return false;
     } else {
-        if (!decodeTraceFields(r, request.trace))
+        if (!decodeTraceFields(r, request.trace) ||
+            request.trace.n != request.config.n)
             return false;
     }
     std::uint8_t has_snapshot = 0;
@@ -895,13 +805,21 @@ decodeShardSliceRequestPayload(const std::vector<std::uint8_t> &payload,
         !r.u64(request.key) || !r.u8(has_snapshot))
         return false;
     // The slice budget bounds what one frame can make a daemon
-    // compute (the slice runs synchronously in the frame handler), so
-    // an unbounded value is hostile by definition.
+    // compute (the request runs synchronously in the frame handler),
+    // so an unbounded value is hostile by definition.
     if (request.sliceCycles < 1 ||
         request.sliceCycles > kMaxSliceCycles ||
         request.runMaxCycles < 1 || has_snapshot > 1)
         return false;
     request.hasSnapshot = has_snapshot != 0;
+    // Resuming or capturing engine state needs a single-channel
+    // device; only a whole synthetic run does neither.
+    const std::uint32_t max_channels =
+        request.kind == SnapshotKind::synthetic && request.wholeRun()
+            ? 64
+            : 1;
+    if (request.channels < 1 || request.channels > max_channels)
+        return false;
     if (request.hasSnapshot &&
         !decodeEmbeddedSnapshot(r, request.kind, request.snapshot))
         return false;
@@ -917,6 +835,7 @@ encodeShardSliceResultPayload(const ShardSliceResult &result)
     net::WireWriter w;
     w.u8(static_cast<std::uint8_t>(result.kind));
     w.u8(result.done ? 1 : 0);
+    w.u8(result.cacheHit ? 1 : 0);
     if (result.kind == SnapshotKind::synthetic) {
         const std::vector<std::uint8_t> synth =
             encodeSynthResult(result.synth);
@@ -944,14 +863,17 @@ decodeShardSliceResultPayload(const std::vector<std::uint8_t> &payload,
 {
     ShardSliceResult result;
     net::WireReader r(payload);
-    std::uint8_t kind = 0, done = 0;
+    std::uint8_t kind = 0, done = 0, cache_hit = 0;
+    // Only a whole run, which is always done, can be a cache hit.
     if (!r.u8(kind) ||
         (kind != static_cast<std::uint8_t>(SnapshotKind::synthetic) &&
          kind != static_cast<std::uint8_t>(SnapshotKind::trace)) ||
-        !r.u8(done) || done > 1)
+        !r.u8(done) || done > 1 || !r.u8(cache_hit) ||
+        cache_hit > done)
         return false;
     result.kind = static_cast<SnapshotKind>(kind);
     result.done = done != 0;
+    result.cacheHit = cache_hit != 0;
     if (result.kind == SnapshotKind::synthetic) {
         std::uint32_t bytes = 0;
         if (!r.u32(bytes) || bytes == 0 || bytes > r.remaining())
@@ -986,68 +908,65 @@ decodeShardSliceResultPayload(const std::vector<std::uint8_t> &payload,
     return true;
 }
 
-// --- Sharded run driver --------------------------------------------
+const char *
+runSliceLocally(const ShardSliceRequest &request, ShardSliceResult &out)
+{
+    out = ShardSliceResult{};
+    out.kind = request.kind;
+    Cycle consumed = 0;
+    if (request.hasSnapshot) {
+        if (request.snapshot.cycle() < request.snapshot.runStart)
+            return "slice snapshot predates its run start";
+        consumed = request.snapshot.cycle() - request.snapshot.runStart;
+    }
+    if (consumed >= request.runMaxCycles)
+        return "slice starts at or past runMaxCycles";
+
+    auto noc = makeNoc(request.config, request.channels);
+    Snapshot next;
+    RunRequest run;
+    run.device = noc.get();
+    if (request.kind == SnapshotKind::synthetic)
+        run.workload = &request.workload;
+    else
+        run.trace = &request.trace;
+    // sliceCycles is decode-bounded (kMaxSliceCycles) but consumed is
+    // only bounded by runMaxCycles, so the sum must saturate.
+    run.sim.maxCycles =
+        std::min(request.runMaxCycles,
+                 saturatingAddCycles(consumed, request.sliceCycles));
+    run.sim.resumeSnapshot =
+        request.hasSnapshot ? &request.snapshot : nullptr;
+    run.sim.captureFinal = &next;
+    const RunResult res = runSim(run);
+    // runSim degrades a rejected snapshot to a fresh run — right for
+    // an interactive resume, wrong for a slice whose stats would then
+    // double-count the run's start. Fail loudly instead.
+    if (request.hasSnapshot && !res.resumed)
+        return "slice snapshot was not restorable";
+    if (!res.finalCaptured)
+        return "slice state capture failed";
+
+    out.synth = res.synth;
+    out.trace = res.trace;
+    const Cycle advanced = next.cycle() - next.runStart;
+    out.done = (request.kind == SnapshotKind::trace
+                    ? res.trace.completed
+                    : res.synth.completed) ||
+               advanced >= request.runMaxCycles;
+    if (!out.done) {
+        // The handoff contract: the next slice resumes the traffic
+        // mid-flight but measures only itself (docs/checkpoint.md).
+        next.trimState();
+        out.hasSnapshot = true;
+        out.snapshot = std::move(next);
+    }
+    return nullptr;
+}
+
+// --- Sharded runs --------------------------------------------------
 
 namespace {
-
-/**
- * One remote slice attempt over one fresh connection: handshake,
- * send the snapshotRequest message, harvest the snapshotResult
- * (tolerating interleaved metricsEpoch frames), part cleanly. False
- * on any transport/protocol/decode failure.
- */
-bool
-trySliceRemote(const RemoteConfig &cfg, const net::Endpoint &endpoint,
-               const std::vector<std::uint8_t> &payload,
-               std::uint64_t request_id, RunCounters &run,
-               ShardSliceResult &out, bool &permanent)
-{
-    std::uint32_t window = 0;
-    net::Socket sock = connectAndHandshake(cfg, endpoint, run, window,
-                                           permanent);
-    if (!sock.valid())
-        return false;
-
-    net::Frame request;
-    request.type = net::MessageType::snapshotRequest;
-    request.requestId = request_id;
-    request.payload = payload;
-    if (net::sendMessage(sock, request, cfg.ioTimeoutMs) !=
-        net::FrameStatus::ok)
-        return false;
-
-    bool got = false;
-    for (;;) {
-        net::Frame frame;
-        if (net::recvMessage(sock, frame, cfg.resultWaitMs,
-                             cfg.ioTimeoutMs) != net::FrameStatus::ok)
-            break;
-        if (frame.type == net::MessageType::metricsEpoch) {
-            std::map<std::string, double> values;
-            if (decodeMetricsPayload(frame.payload, values))
-                run.recordEpoch(endpoint.label(), std::move(values));
-            continue;
-        }
-        if (frame.type == net::MessageType::error) {
-            bump(run.errorFrames);
-            std::uint32_t code = 0;
-            std::string message;
-            if (net::parseErrorFrame(frame, code, message))
-                permanent = code == net::kErrBadVersion ||
-                            code == net::kErrBadSchema;
-            break;
-        }
-        if (frame.type != net::MessageType::snapshotResult ||
-            frame.requestId != request_id)
-            break;
-        if (decodeShardSliceResultPayload(frame.payload, out))
-            got = true;
-        break;
-    }
-    if (got)
-        drainEpochAndPart(cfg, endpoint, sock, run);
-    return got;
-}
 
 /**
  * Client-side validation of a remote slice answer — the mirror of
@@ -1150,7 +1069,6 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
     // the retry schedule once per slice.
     bool fleet_dead = cfg.endpoints.empty();
     std::size_t next_endpoint = 0;
-    std::uint64_t slice_index = 0;
     Cycle consumed = 0; // run-relative cycles completed so far
     // Provenance of slice.snapshot: a remote-origin snapshot, even a
     // restore-probed one, is never worth aborting the process over.
@@ -1162,8 +1080,20 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
         bool served = false;
 
         if (!fleet_dead) {
-            const std::vector<std::uint8_t> payload =
-                encodeShardSliceRequestPayload(slice);
+            std::vector<std::vector<std::uint8_t>> payloads(1);
+            payloads[0] = encodeShardSliceRequestPayload(slice);
+            // Trust nothing a peer says unchecked: range checks plus
+            // a restore probe (validateSliceAnswer), so a hostile
+            // answer is one failed attempt, not a poisoned slice
+            // chain.
+            const AnswerCheck accept = [&](std::size_t,
+                                           ShardSliceResult &got) {
+                if (!validateSliceAnswer(request, kind, consumed, slice,
+                                         got))
+                    return false;
+                answer = std::move(got);
+                return true;
+            };
             unsigned failures = 0;
             while (!served && failures < cfg.maxAttempts) {
                 if (failures > 0) {
@@ -1178,17 +1108,10 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
                                   cfg.endpoints.size()];
                 ++next_endpoint; // round-robin slices and retries
                 bool permanent = false;
-                served = trySliceRemote(cfg, endpoint, payload,
-                                        slice_index, run, answer,
-                                        permanent);
-                // Trust nothing a peer says unchecked: range checks
-                // plus a restore probe (validateSliceAnswer), so a
-                // hostile answer is one failed attempt, not a
-                // poisoned slice chain.
-                if (served &&
-                    !validateSliceAnswer(request, kind, consumed,
-                                         slice, answer))
-                    served = false;
+                std::vector<std::size_t> pending{0};
+                serveConnection(cfg, endpoint, pending, payloads, accept,
+                                run, permanent);
+                served = pending.empty();
                 if (!served) {
                     if (permanent) {
                         fleet_dead = true;
@@ -1201,64 +1124,30 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
                 fleet_dead = true; // degrade to local completion
         }
 
+        // A slice no daemon served runs here, on the daemon's own
+        // slice path: same budgets, same handoff contract, so a
+        // sharded run completes (identically) even with no fleet.
         if (served) {
             bump(run.slicesRemote);
+        } else if (const char *why = runSliceLocally(slice, answer)) {
+            if (!snapshot_from_remote)
+                FT_FATAL("sharded run: local slice failed: ", why);
+            // Belt and braces: a remote snapshot is probed before
+            // being committed, so this should be unreachable — but
+            // the contract is that fleet failure degrades to local
+            // completion, never a crash, so discard the remote chain
+            // and recompute the whole run locally from scratch.
+            FT_WARN("sharded run: remote snapshot chain failed local "
+                    "resume (", why, "); recomputing the run locally");
+            fleet_dead = true;
+            slice.hasSnapshot = false;
+            slice.snapshot = Snapshot{};
+            snapshot_from_remote = false;
+            consumed = 0;
+            merged = NocStats{};
+            first_slice = true;
+            continue;
         } else {
-            // Local slice: same budgets, same handoff contract, so a
-            // sharded run completes (identically) even with no fleet.
-            Snapshot next;
-            auto noc = makeNoc(*request.config, 1);
-            RunRequest local;
-            local.device = noc.get();
-            local.workload = request.workload;
-            local.trace = request.trace;
-            local.sim.maxCycles =
-                std::min(slice.runMaxCycles,
-                         saturatingAddCycles(consumed,
-                                             slice.sliceCycles));
-            local.sim.resumeSnapshot =
-                slice.hasSnapshot ? &slice.snapshot : nullptr;
-            local.sim.captureFinal = &next;
-            const RunResult local_result = runSim(local);
-            if (slice.hasSnapshot && !local_result.resumed) {
-                if (snapshot_from_remote) {
-                    // Belt and braces: a remote snapshot is probed
-                    // before being committed, so this should be
-                    // unreachable — but the contract is that fleet
-                    // failure degrades to local completion, never a
-                    // crash, so discard the remote chain and
-                    // recompute the whole run locally from scratch.
-                    FT_WARN("sharded run: remote snapshot chain "
-                            "failed local resume; recomputing the "
-                            "run locally");
-                    fleet_dead = true;
-                    slice.hasSnapshot = false;
-                    slice.snapshot = Snapshot{};
-                    snapshot_from_remote = false;
-                    consumed = 0;
-                    merged = NocStats{};
-                    first_slice = true;
-                    ++slice_index;
-                    continue;
-                }
-                FT_FATAL("sharded run: local slice failed to resume "
-                         "its own snapshot");
-            }
-            if (!local_result.finalCaptured)
-                FT_FATAL("sharded run: device lost engine-state "
-                         "capture mid-run");
-            answer = ShardSliceResult{};
-            answer.kind = kind;
-            answer.synth = local_result.synth;
-            answer.trace = local_result.trace;
-            const Cycle advanced = next.cycle() - next.runStart;
-            answer.done = (is_trace ? local_result.trace.completed
-                                    : local_result.synth.completed) ||
-                          advanced >= slice.runMaxCycles;
-            if (!answer.done) {
-                answer.hasSnapshot = true;
-                answer.snapshot = std::move(next);
-            }
             bump(run.slicesFallback);
         }
 
@@ -1291,7 +1180,6 @@ runShardedSim(const RunRequest &request, Cycle shard_cycles)
             slice.hasSnapshot = true;
             snapshot_from_remote = served;
         }
-        ++slice_index;
     }
 
     publishRun(run);

@@ -1,15 +1,24 @@
 /**
  * @file
- * Remote sweep execution: the client half of the distributed sweep
+ * Remote run execution: the client half of the distributed sweep
  * fabric (docs/distributed.md).
  *
+ * Every remote run travels as one request shape, ShardSliceRequest
+ * (a runRequest message), answered by one ShardSliceResult (a
+ * runResult message):
+ *   - a sweep point is a whole synthetic run: no snapshot, and a
+ *     slice budget equal to the run's cycle guard;
+ *   - a temporal-shard slice resumes the previous slice's trimmed
+ *     snapshot and advances a partial budget.
+ *
  * When remote endpoints are configured (--remote host:port[,...]),
- * cachedRuns transparently fans sweep points out to ftd
- * daemons over the framed wire protocol (net/frame.hpp): points are
- * sharded round-robin across endpoints, pipelined within a
- * per-session window, and reassembled strictly by input index — so
- * a remote sweep is byte-identical to the same sweep run
- * in-process, regardless of which node computed which point.
+ * cachedRuns transparently fans sweep points out to ftd daemons over
+ * the framed wire protocol (net/frame.hpp): points are sharded
+ * round-robin across endpoints, pipelined within a per-session
+ * window, and reassembled strictly by input index — so a remote
+ * sweep is byte-identical to the same sweep run in-process,
+ * regardless of which node computed which point. runShardedSim
+ * sends one slice per session down the same session loop.
  *
  * Failure semantics: a connection that refuses, times out, or dies
  * mid-stream is retried with exponential backoff
@@ -19,8 +28,8 @@
  * unserved after the retry budget fall back to the local path — a
  * sweep never fails because the fleet did, it only slows down.
  *
- * This header also carries the message-payload codecs for
- * sweepRequest / sweepResult / metricsEpoch frames, built on the
+ * This header also carries the message-payload codecs for the
+ * runRequest / runResult / metricsEpoch messages, built on the
  * endian-stable wire codec so requests and results travel between
  * hosts of any endianness.
  */
@@ -81,7 +90,7 @@ bool remoteConfigured();
  *  remoteLifetimeStats() keeps the process-wide accumulation. */
 struct RemoteStats
 {
-    /** Points answered by a remote SweepResult frame. */
+    /** Sweep points answered by a remote runResult message. */
     std::uint64_t pointsRemote = 0;
     /** Of those, points the daemon served from its blob cache. */
     std::uint64_t remoteCacheHits = 0;
@@ -143,7 +152,7 @@ remoteRuns(const NocConfig &config, std::uint32_t channels,
  * remote endpoints (docs/distributed.md, "Temporal sharding").
  *
  * Each slice ships the run's inputs plus the previous slice's
- * trimmed snapshot in a snapshotRequest message; the daemon resumes,
+ * trimmed snapshot in a runRequest message; the daemon resumes,
  * advances the slice, and answers with the slice's stats and the
  * next trimmed snapshot. Slice stats are merged via
  * NocStats::merge, so the final result is bit-identical to the
@@ -160,41 +169,18 @@ RunResult runShardedSim(const RunRequest &request, Cycle shard_cycles);
 
 // --- Message payload codecs (shared with the ftd server) -----------
 
-/** One sweep point on the wire. */
-struct SweepRequest
-{
-    std::uint32_t pointIndex = 0;
-    NocConfig config;
-    std::uint32_t channels = 1;
-    SyntheticWorkload workload;
-    Cycle maxCycles = kDefaultMaxCycles;
-};
-
-std::vector<std::uint8_t>
-encodeSweepRequestPayload(const SweepRequest &request);
-bool decodeSweepRequestPayload(const std::vector<std::uint8_t> &payload,
-                               SweepRequest &out);
-
-/** SweepResult payload: point index, cache-hit flag, then the
- *  sweep-cache SynthResult payload (sim/sweep_cache.hpp codec). */
-std::vector<std::uint8_t>
-encodeSweepResultPayload(std::uint32_t point_index, bool cache_hit,
-                         const std::vector<std::uint8_t> &result_payload);
-bool decodeSweepResultPayload(const std::vector<std::uint8_t> &payload,
-                              std::uint32_t &point_index,
-                              bool &cache_hit, SynthResult &out);
-
 /** MetricsEpoch payload: name/value pairs in name order. */
 std::vector<std::uint8_t>
 encodeMetricsPayload(const std::map<std::string, double> &values);
 bool decodeMetricsPayload(const std::vector<std::uint8_t> &payload,
                           std::map<std::string, double> &out);
 
-/** Upper bound on a slice's cycle budget. The daemon runs a slice
- *  synchronously in its frame handler, so this (enforced when the
- *  request is decoded, and by runShardedSim on the client) bounds
- *  the compute one snapshotRequest frame can demand — 50x the
- *  default whole-run guard, far past any sane slice, but finite. */
+/** Upper bound on a request's cycle budget. The daemon runs a
+ *  request synchronously in its frame handler, so this (enforced
+ *  when the request is decoded, by runShardedSim, and by cachedRuns,
+ *  which keeps a sweep with a larger guard local) bounds the compute
+ *  one runRequest message can demand — 50x the default whole-run
+ *  guard, far past any sane run, but finite. */
 inline constexpr Cycle kMaxSliceCycles = 1'000'000'000;
 
 /** a + b without wrapping — slice budgets arrive off the wire, so
@@ -206,19 +192,21 @@ saturatingAddCycles(Cycle a, Cycle b)
 }
 
 /**
- * One temporal-shard slice on the wire (snapshotRequest payload).
- * The request is self-contained — the daemon is stateless across
- * slices: it carries the run's full inputs (config + workload or
- * trace), the slice/guard budgets, the checkpoint key the client
- * derived (the daemon re-derives and must agree before trusting the
- * snapshot), and the previous slice's trimmed snapshot (absent on
- * the first slice).
+ * One run on the wire (runRequest payload): a sweep point or a
+ * temporal-shard slice. The request is self-contained — the daemon
+ * is stateless across requests: it carries the run's full inputs
+ * (config + workload or trace), the slice/guard budgets, the
+ * checkpoint key the client derived (the daemon re-derives it and
+ * must agree before running anything), and, for every slice but the
+ * first, the previous slice's trimmed snapshot.
  */
 struct ShardSliceRequest
 {
     SnapshotKind kind = SnapshotKind::synthetic;
     NocConfig config;
-    /** Always 1: slice execution needs engine-state capture. */
+    /** 1..64 for a whole synthetic run; exactly 1 for anything that
+     *  resumes or captures engine state (a snapshot, a partial
+     *  budget, a trace run), which only single-channel devices do. */
     std::uint32_t channels = 1;
     /** Valid when kind == synthetic. */
     SyntheticWorkload workload;
@@ -233,6 +221,13 @@ struct ShardSliceRequest
     std::uint64_t key = 0;
     bool hasSnapshot = false;
     Snapshot snapshot;
+
+    /** A sweep point: the run from its start to its guard, in one
+     *  request. */
+    bool wholeRun() const
+    {
+        return !hasSnapshot && sliceCycles >= runMaxCycles;
+    }
 };
 
 std::vector<std::uint8_t>
@@ -242,13 +237,16 @@ encodeShardSliceRequestPayload(const ShardSliceRequest &request);
 bool decodeShardSliceRequestPayload(
     const std::vector<std::uint8_t> &payload, ShardSliceRequest &out);
 
-/** snapshotResult payload: the slice's outcome + handoff snapshot. */
+/** runResult payload: the run's or slice's outcome + handoff
+ *  snapshot. */
 struct ShardSliceResult
 {
     SnapshotKind kind = SnapshotKind::synthetic;
     /** Run finished (drained/completed or hit runMaxCycles); no
      *  further slices are needed. */
     bool done = false;
+    /** The daemon answered a whole run from its blob cache. */
+    bool cacheHit = false;
     /** Valid when kind == synthetic. Stats are slice-local; cycles
      *  is run-relative (the temporal-shard merge contract). */
     SynthResult synth;
@@ -263,6 +261,17 @@ std::vector<std::uint8_t>
 encodeShardSliceResultPayload(const ShardSliceResult &result);
 bool decodeShardSliceResultPayload(
     const std::vector<std::uint8_t> &payload, ShardSliceResult &out);
+
+/**
+ * Run one slice in this process: resume @p request's snapshot (if
+ * any), advance sliceCycles, then capture and trim the next snapshot
+ * unless the run is done. The daemon's slice path and
+ * runShardedSim's local fallback. Returns nullptr with @p out filled,
+ * or why the slice cannot run (its snapshot is out of range or does
+ * not restore).
+ */
+const char *runSliceLocally(const ShardSliceRequest &request,
+                            ShardSliceResult &out);
 
 } // namespace fasttrack
 

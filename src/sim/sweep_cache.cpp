@@ -1,7 +1,6 @@
 #include "sim/sweep_cache.hpp"
 
 #include <atomic>
-#include <bit>
 
 #include "common/parallel.hpp"
 #include "net/wire.hpp"
@@ -24,21 +23,9 @@ sweepKey(const NocConfig &config, std::uint32_t channels,
 {
     sched::Fnv1a h;
     h.add(kSweepCacheSchema);
-    h.add(config.n);
-    h.add(config.d);
-    h.add(config.r);
-    h.add(static_cast<std::uint64_t>(config.variant));
-    h.add(config.allowExpressTurn ? 1 : 0);
-    h.add(config.allowUpgrade ? 1 : 0);
-    h.add(config.turnPriority ? 1 : 0);
-    h.add(config.shortLinkStages);
-    h.add(config.expressLinkStages);
+    h.addFields(config);
     h.add(channels);
-    h.add(static_cast<std::uint64_t>(workload.pattern));
-    h.add(std::bit_cast<std::uint64_t>(workload.injectionRate));
-    h.add(workload.packetsPerPe);
-    h.add(workload.localRadius);
-    h.add(workload.seed);
+    h.addFields(workload);
     h.add(max_cycles);
     return h.value();
 }
@@ -103,8 +90,10 @@ cachedRuns(const NocConfig &config, std::uint32_t channels,
 {
     // Every result is the bit-deterministic function of its inputs,
     // so it does not matter which node computed it. Telemetry runs
-    // stay local — remote workers cannot stream trace events.
-    if (remoteConfigured() && telemetry::installed() == nullptr) {
+    // stay local — remote workers cannot stream trace events — and
+    // so does a guard past what one request may demand of a daemon.
+    if (remoteConfigured() && telemetry::installed() == nullptr &&
+        max_cycles <= kMaxSliceCycles) {
         return remoteRuns(
             config, channels, workloads, max_cycles,
             [&](const std::vector<std::size_t> &indices) {

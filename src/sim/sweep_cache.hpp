@@ -8,15 +8,14 @@
  * inputs, a result can be keyed by a hash of those inputs and
  * replayed instead of re-simulated.
  *
- * Key schema (FNV-1a over the words listed, in order; bump
+ * Key schema (FNV-1a over the u64 words listed, in order; bump
  * kSweepCacheSchema whenever this list, the field meanings, or the
  * encoded payload change):
  *   kSweepCacheSchema,
- *   NocConfig{n, d, r, variant, allowExpressTurn, allowUpgrade,
- *             turnPriority, shortLinkStages, expressLinkStages},
+ *   NocConfig fields (NocConfig::forEachField order),
  *   channels,
- *   SyntheticWorkload{pattern, bit_cast<u64>(injectionRate),
- *                     packetsPerPe, localRadius, seed},
+ *   SyntheticWorkload fields (SyntheticWorkload::forEachField order;
+ *                             the rate as its IEEE-754 bit pattern),
  *   maxCycles
  *
  * The payload is the full SynthResult (all NocStats counters and the

@@ -10,6 +10,7 @@
 #define FT_TRAFFIC_INJECTOR_HPP
 
 #include <array>
+#include <cstddef>
 #include <memory>
 #include <new>
 #include <vector>
@@ -92,7 +93,40 @@ struct SyntheticWorkload
     /** LOCAL pattern neighbourhood radius. */
     std::uint32_t localRadius = 2;
     std::uint64_t seed = 1;
+
+    /** The one field list, in key and wire order (see
+     *  NocConfig::forEachField). */
+    template <typename Self, typename Visit>
+    static constexpr void forEachField(Self &self, Visit &&visit)
+    {
+        visit(self.pattern);
+        visit(self.injectionRate);
+        visit(self.packetsPerPe);
+        visit(self.localRadius);
+        visit(self.seed);
+    }
 };
+
+namespace detail {
+
+/** Fields forEachField visits; the structured binding fails to
+ *  compile as soon as SyntheticWorkload's member count differs. */
+consteval std::size_t
+syntheticWorkloadFieldCount()
+{
+    SyntheticWorkload workload{};
+    [[maybe_unused]] auto &[pattern, rate, packets, radius, seed] =
+        workload;
+    std::size_t fields = 0;
+    SyntheticWorkload::forEachField(workload,
+                                    [&fields](auto &) { ++fields; });
+    return fields;
+}
+
+} // namespace detail
+
+static_assert(detail::syntheticWorkloadFieldCount() == 5,
+              "SyntheticWorkload::forEachField must list every field");
 
 /**
  * Serializable state of one SyntheticInjector (sim/checkpoint.hpp):

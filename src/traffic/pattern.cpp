@@ -33,19 +33,26 @@ patternFromString(const std::string &name)
     FT_FATAL("unknown traffic pattern: ", name);
 }
 
+const char *
+patternViolation(TrafficPattern pattern, std::uint32_t n,
+                 std::uint32_t local_radius)
+{
+    if (pattern == TrafficPattern::bitComplement &&
+        !std::has_single_bit(std::uint64_t{n} * n))
+        return "BITCOMPL needs a power-of-two PE count";
+    if (pattern == TrafficPattern::local && local_radius < 1)
+        return "LOCAL radius must be >= 1";
+    return nullptr;
+}
+
 DestinationGenerator::DestinationGenerator(TrafficPattern pattern,
                                            std::uint32_t n,
                                            std::uint32_t local_radius)
     : pattern_(pattern), n_(n), localRadius_(local_radius)
 {
     FT_ASSERT(n_ >= 2, "torus side must be >= 2");
-    if (pattern_ == TrafficPattern::bitComplement &&
-        !std::has_single_bit(n_ * n_)) {
-        FT_FATAL("BITCOMPL needs a power-of-two PE count, got ",
-                 n_ * n_);
-    }
-    if (pattern_ == TrafficPattern::local && localRadius_ < 1)
-        FT_FATAL("LOCAL radius must be >= 1");
+    if (const char *why = patternViolation(pattern_, n_, localRadius_))
+        FT_FATAL(why, ": N=", n_, " radius=", localRadius_);
     if (pattern_ == TrafficPattern::random) {
         const std::uint64_t bound = std::uint64_t{n_} * n_ - 1;
         randomThreshold_ = (0 - bound) % bound;

@@ -33,6 +33,12 @@ enum class TrafficPattern
 const char *toString(TrafficPattern pattern);
 TrafficPattern patternFromString(const std::string &name);
 
+/** The first rule @p pattern breaks on an @p n x @p n torus, or
+ *  nullptr. DestinationGenerator aborts on it; the ftd wire decoder
+ *  rejects on it. */
+const char *patternViolation(TrafficPattern pattern, std::uint32_t n,
+                             std::uint32_t local_radius);
+
 /** All four patterns, in the paper's plotting order. */
 inline constexpr TrafficPattern kAllPatterns[] = {
     TrafficPattern::bitComplement,

@@ -1,10 +1,11 @@
 /**
  * @file
  * A fake daemon for the client's epoch-drain bound: a raw-socket
- * relay in front of a real ftd daemon that forwards every frame both
- * ways except the daemon's metricsEpoch frames, and keeps the
- * client's socket open until the client says goodbye. To the client
- * it is a daemon that answers every request but never closes its
+ * relay in front of a real ftd daemon that forwards every message
+ * both ways (hello/helloAck, runRequest/runResult, error, goodbye)
+ * except the daemon's metricsEpoch frames, and keeps the client's
+ * socket open until the client says goodbye. To the client it is a
+ * daemon that answers every run request but never closes its
  * batches, so each session must end on kEpochDrainMs.
  */
 #ifndef FT_TESTS_EPOCH_WITHHOLDING_RELAY_HPP

@@ -543,5 +543,59 @@ TEST(Checkpoint, SweepCacheIsBypassedWhileCheckpointing)
     std::filesystem::remove_all(dir);
 }
 
+TEST(Checkpoint, KeysArePinned)
+{
+    // Recorded before checkpointKey was derived from the NocConfig
+    // and SyntheticWorkload field lists.
+    NocConfig cfg = NocConfig::fastTrack(8, 2, 1, NocVariant::ftInject);
+    cfg.turnPriority = false;
+    cfg.allowUpgrade = false;
+    cfg.shortLinkStages = 1;
+    cfg.expressLinkStages = 2;
+    SyntheticWorkload w;
+    w.pattern = TrafficPattern::local;
+    w.injectionRate = 0.3;
+    w.packetsPerPe = 77;
+    w.localRadius = 3;
+    w.seed = 12345;
+    EXPECT_EQ(checkpointKey(cfg, 2, w), UINT64_C(0xcb6fc3b09cdbfce6));
+    Trace trace;
+    trace.name = "pin";
+    trace.n = 4;
+    trace.messages.push_back(TraceMessage{0, 1, 5, 3, 0, {}});
+    trace.messages.push_back(TraceMessage{1, 5, 2, 0, 7, {0}});
+    EXPECT_EQ(checkpointKey(cfg, 1, trace), UINT64_C(0x03c9478b76c2f50d));
+}
+
+TEST(Checkpoint, SnapshotFileBytesArePinned)
+{
+    // A snapshot file of a fixed 20-cycle run, recorded before the
+    // FTCP file and the FTRC cache entry shared a container helper.
+    const NocConfig cfg = NocConfig::hoplite(4);
+    SyntheticWorkload w;
+    w.injectionRate = 0.5;
+    w.packetsPerPe = 16;
+    w.seed = 3;
+    auto noc = makeNoc(cfg, 1);
+    Snapshot snap;
+    RunRequest run;
+    run.device = noc.get();
+    run.workload = &w;
+    run.sim.maxCycles = 20;
+    run.sim.captureFinal = &snap;
+    ASSERT_TRUE(runSim(run).finalCaptured);
+    const std::string dir = scratchDir("pinned");
+    std::string path;
+    ASSERT_EQ(writeSnapshotFile(dir, checkpointKey(cfg, 1, w), snap,
+                                &path),
+              SnapshotStatus::ok);
+    const std::vector<std::uint8_t> bytes = readAllBytes(path);
+    Fnv1a h;
+    h.addBytes(bytes.data(), bytes.size());
+    EXPECT_EQ(bytes.size(), 4493u);
+    EXPECT_EQ(h.value(), UINT64_C(0x3298fe61b435bba8));
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
 } // namespace fasttrack

@@ -6,7 +6,8 @@
  * requests, and the client must ride out killed sessions and dead
  * endpoints via retry/backoff and local fallback — a sweep never
  * fails because the fleet did. Also pins the message payload codecs
- * (sweepRequest / sweepResult / metricsEpoch).
+ * for sweep points (whole-run runRequest / runResult) and
+ * metricsEpoch.
  */
 
 #include <gtest/gtest.h>
@@ -156,25 +157,65 @@ loopbackLabel(std::uint16_t port)
     return "127.0.0.1:" + std::to_string(port);
 }
 
-SweepRequest
+/** A sweep point on the wire: a whole synthetic run on a
+ *  two-channel device. */
+ShardSliceRequest
 sampleRequest(std::uint64_t seed)
 {
-    SweepRequest request;
-    request.pointIndex = 3;
+    ShardSliceRequest request;
     request.config = NocConfig::fastTrack(4, 2, 1);
     request.channels = 2;
     request.workload = smallWorkloads(1, seed).front();
-    request.maxCycles = 100'000;
+    request.sliceCycles = 100'000;
+    request.runMaxCycles = 100'000;
+    request.key = checkpointKey(request.config, request.channels,
+                                request.workload);
     return request;
+}
+
+/** @p request with its key re-derived from its (edited) inputs. */
+ShardSliceRequest
+rekeyed(ShardSliceRequest request)
+{
+    request.key = request.kind == SnapshotKind::synthetic
+                      ? checkpointKey(request.config, request.channels,
+                                      request.workload)
+                      : checkpointKey(request.config, request.channels,
+                                      request.trace);
+    return request;
+}
+
+bool
+decodes(const ShardSliceRequest &request)
+{
+    ShardSliceRequest out;
+    return decodeShardSliceRequestPayload(
+        encodeShardSliceRequestPayload(request), out);
+}
+
+/** A two-message trace for an @p n x @p n device. */
+Trace
+tinyTrace(std::uint32_t n)
+{
+    Trace trace;
+    trace.name = "tiny";
+    trace.n = n;
+    trace.messages.push_back(TraceMessage{0, 0, 1, 0, 0, {}});
+    trace.messages.push_back(TraceMessage{1, 1, 2, 0, 3, {0}});
+    return trace;
 }
 
 TEST(DistributedCodec, SweepRequestRoundTrips)
 {
-    const SweepRequest request = sampleRequest(9001);
-    SweepRequest decoded;
-    ASSERT_TRUE(decodeSweepRequestPayload(
-        encodeSweepRequestPayload(request), decoded));
-    EXPECT_EQ(decoded.pointIndex, request.pointIndex);
+    // A sweep point is a whole run in the one request shape: no
+    // snapshot, a slice budget equal to the cycle guard, and (unlike
+    // a slice) more than one channel.
+    const ShardSliceRequest request = sampleRequest(9001);
+    ASSERT_TRUE(request.wholeRun());
+    ShardSliceRequest decoded;
+    ASSERT_TRUE(decodeShardSliceRequestPayload(
+        encodeShardSliceRequestPayload(request), decoded));
+    EXPECT_EQ(decoded.kind, SnapshotKind::synthetic);
     EXPECT_EQ(decoded.config.n, request.config.n);
     EXPECT_EQ(decoded.config.d, request.config.d);
     EXPECT_EQ(decoded.config.r, request.config.r);
@@ -186,82 +227,192 @@ TEST(DistributedCodec, SweepRequestRoundTrips)
     EXPECT_EQ(decoded.workload.packetsPerPe,
               request.workload.packetsPerPe);
     EXPECT_EQ(decoded.workload.seed, request.workload.seed);
-    EXPECT_EQ(decoded.maxCycles, request.maxCycles);
-    // The key the daemon derives from the decoded request must equal
-    // the one the client derives from the original — the cross-node
+    EXPECT_EQ(decoded.sliceCycles, request.sliceCycles);
+    EXPECT_EQ(decoded.runMaxCycles, request.runMaxCycles);
+    EXPECT_EQ(decoded.key, request.key);
+    EXPECT_FALSE(decoded.hasSnapshot);
+    EXPECT_TRUE(decoded.wholeRun());
+    // The keys the daemon derives from the decoded request must equal
+    // the ones the client derives from the original — the cross-node
     // cache-sharing contract.
     EXPECT_EQ(sweepKey(decoded.config, decoded.channels,
-                       decoded.workload, decoded.maxCycles),
+                       decoded.workload, decoded.runMaxCycles),
               sweepKey(request.config, request.channels,
-                       request.workload, request.maxCycles));
+                       request.workload, request.runMaxCycles));
+    EXPECT_EQ(checkpointKey(decoded.config, decoded.channels,
+                            decoded.workload),
+              request.key);
+
+    // The widest device a whole run may ask for.
+    ShardSliceRequest wide = request;
+    wide.channels = 64;
+    wide = rekeyed(wide);
+    ASSERT_TRUE(decodeShardSliceRequestPayload(
+        encodeShardSliceRequestPayload(wide), decoded));
+    EXPECT_EQ(decoded.channels, 64u);
+}
+
+TEST(DistributedCodec, RunRequestBytesArePinned)
+{
+    // One encoded request, recorded before the codec was derived from
+    // the NocConfig/SyntheticWorkload field lists: the wire bytes must
+    // not move.
+    NocConfig config = NocConfig::fastTrack(8, 2, 1, NocVariant::ftInject);
+    config.turnPriority = false;
+    config.allowUpgrade = false;
+    config.shortLinkStages = 1;
+    config.expressLinkStages = 2;
+    ShardSliceRequest request;
+    request.config = config;
+    request.workload.pattern = TrafficPattern::local;
+    request.workload.injectionRate = 0.3;
+    request.workload.packetsPerPe = 77;
+    request.workload.localRadius = 3;
+    request.workload.seed = 12345;
+    request.sliceCycles = 54321;
+    request.runMaxCycles = 54321;
+    request.key = checkpointKey(config, 1, request.workload);
+    const std::vector<std::uint8_t> pinned = {
+        0x01, 0x08, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+        0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x33, 0x33, 0x33, 0x33,
+        0x33, 0x33, 0xd3, 0x3f, 0x4d, 0x00, 0x00, 0x00, 0x03, 0x00,
+        0x00, 0x00, 0x39, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x31, 0xd4, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x31, 0xd4,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xad, 0x8a, 0x14, 0x38,
+        0xb2, 0x5f, 0x66, 0x9f, 0x00,
+    };
+    EXPECT_EQ(encodeShardSliceRequestPayload(request), pinned);
+    ShardSliceRequest decoded;
+    ASSERT_TRUE(decodeShardSliceRequestPayload(pinned, decoded));
+    EXPECT_EQ(encodeShardSliceRequestPayload(decoded), pinned);
 }
 
 TEST(DistributedCodec, SweepRequestRejectsHostilePayloads)
 {
     const std::vector<std::uint8_t> good =
-        encodeSweepRequestPayload(sampleRequest(9002));
-    SweepRequest out;
+        encodeShardSliceRequestPayload(sampleRequest(9002));
+    ShardSliceRequest out;
 
     // Truncation at every boundary fails cleanly.
     for (std::size_t keep = 0; keep < good.size(); ++keep) {
         const std::vector<std::uint8_t> cut(
             good.begin(),
             good.begin() + static_cast<std::ptrdiff_t>(keep));
-        EXPECT_FALSE(decodeSweepRequestPayload(cut, out)) << keep;
+        EXPECT_FALSE(decodeShardSliceRequestPayload(cut, out)) << keep;
     }
     // Trailing junk fails (payloads decode exactly).
     std::vector<std::uint8_t> padded = good;
     padded.push_back(0);
-    EXPECT_FALSE(decodeSweepRequestPayload(padded, out));
+    EXPECT_FALSE(decodeShardSliceRequestPayload(padded, out));
+    // Non-canonical field encodings: a bool byte of 2 (allowExpressTurn
+    // sits after kind, n, d, r, variant) and an unknown variant.
+    std::vector<std::uint8_t> forged = good;
+    forged[17] = 2;
+    EXPECT_FALSE(decodeShardSliceRequestPayload(forged, out));
+    forged = good;
+    forged[13] = 9;
+    EXPECT_FALSE(decodeShardSliceRequestPayload(forged, out));
 
     // Structurally valid but semantically hostile requests are
     // rejected by validation, not FT_FATAL: the daemon must answer
     // with an error frame, never die.
-    SweepRequest hostile = sampleRequest(9003);
+    ShardSliceRequest hostile = sampleRequest(9003);
     hostile.config.d = hostile.config.n; // d > n/2
-    EXPECT_FALSE(decodeSweepRequestPayload(
-        encodeSweepRequestPayload(hostile), out));
+    EXPECT_FALSE(decodes(rekeyed(hostile)));
 
     hostile = sampleRequest(9003);
     hostile.workload.injectionRate = 0.0;
-    EXPECT_FALSE(decodeSweepRequestPayload(
-        encodeSweepRequestPayload(hostile), out));
+    EXPECT_FALSE(decodes(rekeyed(hostile)));
 
     hostile = sampleRequest(9003);
     hostile.workload.packetsPerPe = (1u << 20) + 1; // allocation bound
-    EXPECT_FALSE(decodeSweepRequestPayload(
-        encodeSweepRequestPayload(hostile), out));
+    EXPECT_FALSE(decodes(rekeyed(hostile)));
 
     hostile = sampleRequest(9003);
-    hostile.maxCycles = 0;
-    EXPECT_FALSE(decodeSweepRequestPayload(
-        encodeSweepRequestPayload(hostile), out));
+    hostile.sliceCycles = 0;
+    hostile.runMaxCycles = 0;
+    EXPECT_FALSE(decodes(hostile));
+
+    // Channel bounds: 1..64 for a whole run, exactly 1 for a partial
+    // budget (slices capture engine state).
+    for (std::uint32_t channels : {0u, 65u}) {
+        hostile = sampleRequest(9003);
+        hostile.channels = channels;
+        EXPECT_FALSE(decodes(rekeyed(hostile))) << channels;
+    }
+    hostile = sampleRequest(9003);
+    hostile.sliceCycles = hostile.runMaxCycles - 1;
+    EXPECT_FALSE(decodes(hostile));
+    hostile.channels = 1;
+    EXPECT_TRUE(decodes(rekeyed(hostile)));
+
+    // BITCOMPL needs a power-of-two PE count: 36 PEs would make
+    // DestinationGenerator abort the daemon.
+    hostile = sampleRequest(9003);
+    hostile.config = NocConfig::hoplite(6);
+    hostile.workload.pattern = TrafficPattern::bitComplement;
+    EXPECT_FALSE(decodes(rekeyed(hostile)));
+    hostile.config = NocConfig::hoplite(4);
+    EXPECT_TRUE(decodes(rekeyed(hostile)));
+
+    // A trace for another device side would fail TraceReplayer's
+    // assertion on the daemon.
+    ShardSliceRequest trace;
+    trace.kind = SnapshotKind::trace;
+    trace.config = NocConfig::hoplite(8);
+    trace.trace = tinyTrace(4);
+    EXPECT_FALSE(decodes(rekeyed(trace)));
+    trace.trace = tinyTrace(8);
+    EXPECT_TRUE(decodes(rekeyed(trace)));
 }
 
 TEST(DistributedCodec, SweepResultRoundTrips)
 {
     const SynthResult res = cachedRunSynthetic(
         NocConfig::hoplite(4), 1, smallWorkloads(1, 9010).front());
-    const std::vector<std::uint8_t> inner = encodeSynthResult(res);
+    // A sweep point's answer: a finished run, no handoff snapshot,
+    // and the daemon's cache-hit flag.
+    ShardSliceResult answer;
+    answer.done = true;
+    answer.cacheHit = true;
+    answer.synth = res;
     const std::vector<std::uint8_t> payload =
-        encodeSweepResultPayload(7, true, inner);
+        encodeShardSliceResultPayload(answer);
 
-    std::uint32_t point = 0;
-    bool hit = false;
-    SynthResult decoded;
-    ASSERT_TRUE(decodeSweepResultPayload(payload, point, hit, decoded));
-    EXPECT_EQ(point, 7u);
-    EXPECT_TRUE(hit);
-    EXPECT_EQ(resultHash(decoded), resultHash(res));
+    ShardSliceResult decoded;
+    ASSERT_TRUE(decodeShardSliceResultPayload(payload, decoded));
+    EXPECT_EQ(decoded.kind, SnapshotKind::synthetic);
+    EXPECT_TRUE(decoded.done);
+    EXPECT_TRUE(decoded.cacheHit);
+    EXPECT_FALSE(decoded.hasSnapshot);
+    EXPECT_EQ(resultHash(decoded.synth), resultHash(res));
+    answer.cacheHit = false;
+    ASSERT_TRUE(decodeShardSliceResultPayload(
+        encodeShardSliceResultPayload(answer), decoded));
+    EXPECT_FALSE(decoded.cacheHit);
 
-    // Hostile variants: truncated, inner-length mismatch, empty inner.
+    // Hostile variants: truncated, padded, a cache-hit flag that is
+    // not 0/1 or sits on an unfinished run, an empty inner result.
     std::vector<std::uint8_t> cut(payload.begin(), payload.end() - 1);
-    EXPECT_FALSE(decodeSweepResultPayload(cut, point, hit, decoded));
+    EXPECT_FALSE(decodeShardSliceResultPayload(cut, decoded));
     std::vector<std::uint8_t> padded = payload;
     padded.push_back(0);
-    EXPECT_FALSE(decodeSweepResultPayload(padded, point, hit, decoded));
-    EXPECT_FALSE(decodeSweepResultPayload(
-        encodeSweepResultPayload(7, false, {}), point, hit, decoded));
+    EXPECT_FALSE(decodeShardSliceResultPayload(padded, decoded));
+    std::vector<std::uint8_t> forged = payload;
+    forged[2] = 2; // layout: u8 kind, u8 done, u8 cacheHit, ...
+    EXPECT_FALSE(decodeShardSliceResultPayload(forged, decoded));
+    forged = payload;
+    forged[1] = 0;
+    EXPECT_FALSE(decodeShardSliceResultPayload(forged, decoded));
+    net::WireWriter empty;
+    empty.u8(static_cast<std::uint8_t>(SnapshotKind::synthetic));
+    empty.u8(1);
+    empty.u8(0);
+    empty.u32(0);
+    empty.u8(0);
+    EXPECT_FALSE(decodeShardSliceResultPayload(empty.take(), decoded));
 }
 
 TEST(DistributedCodec, MetricsPayloadRoundTrips)
@@ -517,6 +668,69 @@ TEST(Distributed, EpochlessDaemonCostsOneBoundedWaitPerSession)
     }
 }
 
+/** Send one runRequest payload and expect, in order, a
+ *  kErrBadRequest error echoing @p request_id and the batch's epoch. */
+void
+expectRejected(net::Socket &sock, const std::vector<std::uint8_t> &payload,
+               std::uint64_t request_id)
+{
+    net::Frame bad;
+    bad.type = net::MessageType::runRequest;
+    bad.requestId = request_id;
+    bad.payload = payload;
+    ASSERT_EQ(net::sendMessage(sock, bad, 2'000), net::FrameStatus::ok);
+    net::Frame reply;
+    ASSERT_EQ(net::recvMessage(sock, reply, 10'000, 2'000),
+              net::FrameStatus::ok);
+    ASSERT_EQ(reply.type, net::MessageType::error);
+    EXPECT_EQ(reply.requestId, request_id);
+    std::uint32_t code = 0;
+    std::string message;
+    ASSERT_TRUE(net::parseErrorFrame(reply, code, message));
+    EXPECT_EQ(code, net::kErrBadRequest);
+    ASSERT_EQ(net::recvMessage(sock, reply, 10'000, 2'000),
+              net::FrameStatus::ok);
+    EXPECT_EQ(reply.type, net::MessageType::metricsEpoch);
+}
+
+/** Send one good sweep point, expect its runResult (finished, not a
+ *  slice) and then the batch's epoch, whose values are returned. */
+std::map<std::string, double>
+expectServed(net::Socket &sock, const ShardSliceRequest &request,
+             std::uint64_t request_id)
+{
+    net::Frame good;
+    good.type = net::MessageType::runRequest;
+    good.requestId = request_id;
+    good.payload = encodeShardSliceRequestPayload(request);
+    EXPECT_EQ(net::sendMessage(sock, good, 2'000), net::FrameStatus::ok);
+    net::Frame reply;
+    EXPECT_EQ(net::recvMessage(sock, reply, 60'000, 10'000),
+              net::FrameStatus::ok);
+    EXPECT_EQ(reply.type, net::MessageType::runResult);
+    EXPECT_EQ(reply.requestId, request_id);
+    ShardSliceResult result;
+    EXPECT_TRUE(decodeShardSliceResultPayload(reply.payload, result));
+    EXPECT_TRUE(result.done);
+    EXPECT_FALSE(result.hasSnapshot);
+    EXPECT_EQ(net::recvMessage(sock, reply, 10'000, 2'000),
+              net::FrameStatus::ok);
+    EXPECT_EQ(reply.type, net::MessageType::metricsEpoch);
+    std::map<std::string, double> epoch;
+    EXPECT_TRUE(decodeMetricsPayload(reply.payload, epoch));
+    return epoch;
+}
+
+void
+partAndStop(net::Socket &sock, WithDaemon &daemon)
+{
+    net::Frame goodbye;
+    goodbye.type = net::MessageType::goodbye;
+    EXPECT_EQ(net::sendFrame(sock, goodbye, 2'000), net::FrameStatus::ok);
+    sock.close();
+    daemon.server.stop();
+}
+
 TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
 {
     WithDaemon daemon;
@@ -524,82 +738,105 @@ TEST(Distributed, HostileRequestGetsErrorFrameAndSessionSurvives)
     net::Socket sock = rawSession(daemon.port());
     ASSERT_TRUE(sock.valid());
 
-    // A sweepRequest whose payload is garbage: answered with a
+    // A runRequest whose payload is garbage: answered with a
     // kErrBadRequest error frame (echoing the request id), followed
     // by the batch's telemetry epoch — and the session stays up.
-    net::Frame bad;
-    bad.type = net::MessageType::sweepRequest;
-    bad.requestId = 41;
-    bad.payload = {0xde, 0xad, 0xbe, 0xef};
-    ASSERT_EQ(net::sendFrame(sock, bad, 2'000), net::FrameStatus::ok);
-    net::Frame reply;
-    ASSERT_EQ(net::recvFrame(sock, reply, 10'000, 2'000),
-              net::FrameStatus::ok);
-    ASSERT_EQ(reply.type, net::MessageType::error);
-    EXPECT_EQ(reply.requestId, 41u);
-    std::uint32_t code = 0;
-    std::string message;
-    ASSERT_TRUE(net::parseErrorFrame(reply, code, message));
-    EXPECT_EQ(code, net::kErrBadRequest);
-    ASSERT_EQ(net::recvFrame(sock, reply, 10'000, 2'000),
-              net::FrameStatus::ok);
-    EXPECT_EQ(reply.type, net::MessageType::metricsEpoch);
+    expectRejected(sock, {0xde, 0xad, 0xbe, 0xef}, 41);
+
+    // A well-formed point whose key does not match its inputs.
+    ShardSliceRequest forged = sampleRequest(9500);
+    forged.key ^= 1;
+    expectRejected(sock, encodeShardSliceRequestPayload(forged), 42);
 
     // The same session then serves a valid point.
-    SweepRequest request = sampleRequest(9500);
-    request.maxCycles = kDefaultMaxCycles;
-    net::Frame good;
-    good.type = net::MessageType::sweepRequest;
-    good.requestId = 42;
-    good.payload = encodeSweepRequestPayload(request);
-    ASSERT_EQ(net::sendFrame(sock, good, 2'000), net::FrameStatus::ok);
-    ASSERT_EQ(net::recvFrame(sock, reply, 60'000, 10'000),
-              net::FrameStatus::ok);
-    ASSERT_EQ(reply.type, net::MessageType::sweepResult);
-    EXPECT_EQ(reply.requestId, 42u);
-    std::uint32_t point = 0;
-    bool hit = false;
-    SynthResult result;
-    ASSERT_TRUE(
-        decodeSweepResultPayload(reply.payload, point, hit, result));
-    EXPECT_EQ(point, request.pointIndex);
-    ASSERT_EQ(net::recvFrame(sock, reply, 10'000, 2'000),
-              net::FrameStatus::ok);
-    EXPECT_EQ(reply.type, net::MessageType::metricsEpoch);
-    std::map<std::string, double> epoch;
-    ASSERT_TRUE(decodeMetricsPayload(reply.payload, epoch));
+    ShardSliceRequest request = sampleRequest(9500);
+    request.sliceCycles = request.runMaxCycles = kDefaultMaxCycles;
+    const std::map<std::string, double> epoch =
+        expectServed(sock, request, 43);
     EXPECT_GE(epoch.at("ftd.points_served"), 1.0);
-    EXPECT_GE(epoch.at("ftd.bad_requests"), 1.0);
+    EXPECT_GE(epoch.at("ftd.bad_requests"), 2.0);
 
-    net::Frame goodbye;
-    goodbye.type = net::MessageType::goodbye;
-    ASSERT_EQ(net::sendFrame(sock, goodbye, 2'000),
-              net::FrameStatus::ok);
-    sock.close();
-
-    daemon.server.stop();
-    EXPECT_EQ(daemon.server.stats().badRequests, 1u);
+    partAndStop(sock, daemon);
+    EXPECT_EQ(daemon.server.stats().badRequests, 2u);
     EXPECT_EQ(daemon.server.stats().pointsServed, 1u);
     EXPECT_EQ(daemon.server.netStats().protocolErrors, 0u);
 }
 
+TEST(Distributed, RequestsThatAbortedTheDaemonGetErrorFrames)
+{
+    // Both requests decoded at wire version 2 and then took the
+    // daemon process down: BITCOMPL on a PE count that is not a power
+    // of two (FT_FATAL in DestinationGenerator), and a trace for
+    // another device side (FT_ASSERT in TraceReplayer). Now each is a
+    // typed rejection and the session serves on.
+    WithDaemon daemon;
+    net::Socket sock = rawSession(daemon.port());
+    ASSERT_TRUE(sock.valid());
+
+    ShardSliceRequest bitcompl = sampleRequest(9550);
+    bitcompl.config = NocConfig::hoplite(6);
+    bitcompl.channels = 1;
+    bitcompl.workload.pattern = TrafficPattern::bitComplement;
+    expectRejected(sock, encodeShardSliceRequestPayload(
+                             rekeyed(bitcompl)),
+                   50);
+
+    ShardSliceRequest side;
+    side.kind = SnapshotKind::trace;
+    side.config = NocConfig::hoplite(8);
+    side.trace = tinyTrace(4);
+    side.sliceCycles = side.runMaxCycles = 10'000;
+    expectRejected(sock, encodeShardSliceRequestPayload(rekeyed(side)),
+                   51);
+
+    const std::map<std::string, double> epoch =
+        expectServed(sock, sampleRequest(9551), 52);
+    EXPECT_EQ(epoch.at("ftd.bad_requests"), 2.0);
+
+    partAndStop(sock, daemon);
+    EXPECT_EQ(daemon.server.stats().badRequests, 2u);
+    EXPECT_EQ(daemon.server.stats().pointsServed, 1u);
+}
+
 TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
 {
-    // One drained frame batch interleaving two configs and two
-    // channel counts: the daemon answers every point in arrival
-    // order, byte-identical to the local path.
+    // One raw write carries a drained batch that interleaves two
+    // configs and two channel counts of whole-run sweep points with a
+    // temporal-shard slice that carries a snapshot: the daemon
+    // answers every request in arrival order, byte-identical to the
+    // local path.
     WithDaemon daemon;
     const std::vector<SyntheticWorkload> workloads =
         smallWorkloads(4, 9700);
-    std::vector<SweepRequest> requests(workloads.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        SweepRequest &r = requests[i];
-        r.pointIndex = static_cast<std::uint32_t>(i);
+    std::vector<ShardSliceRequest> requests;
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+        ShardSliceRequest r;
         r.config = i % 2 == 0 ? NocConfig::fastTrack(8, 2, 1)
                               : NocConfig::hoplite(8);
         r.channels = i % 2 == 0 ? 1 : 3;
         r.workload = workloads[i];
+        r.sliceCycles = r.runMaxCycles = kDefaultMaxCycles;
+        requests.push_back(rekeyed(r));
     }
+    // The slice resumes a run 64 cycles in and advances 64 more.
+    ShardSliceRequest slice;
+    slice.config = NocConfig::fastTrack(4, 2, 1);
+    slice.workload = smallWorkloads(1, 9710).front();
+    slice.workload.packetsPerPe = 192;
+    slice.sliceCycles = 64;
+    slice.runMaxCycles = 100'000;
+    {
+        auto noc = makeNoc(slice.config, 1);
+        RunRequest run;
+        run.device = noc.get();
+        run.workload = &slice.workload;
+        run.sim.maxCycles = 64;
+        run.sim.captureFinal = &slice.snapshot;
+        ASSERT_TRUE(runSim(run).finalCaptured);
+        slice.snapshot.trimState();
+        slice.hasSnapshot = true;
+    }
+    requests.insert(requests.begin() + 2, rekeyed(slice));
 
     // Local reference computed with the shared cache emptied and off,
     // so the daemon below misses and really simulates every point.
@@ -607,10 +844,23 @@ TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
     const bool cacheWas = sweepCacheEnabled();
     setSweepCacheEnabled(false);
     std::vector<SynthResult> local;
-    for (const SweepRequest &r : requests)
-        local.push_back(cachedRuns(r.config, r.channels, {r.workload},
-                                   r.maxCycles)
-                            .front());
+    for (const ShardSliceRequest &r : requests) {
+        if (r.wholeRun()) {
+            local.push_back(cachedRuns(r.config, r.channels, {r.workload},
+                                       r.runMaxCycles)
+                                .front());
+            continue;
+        }
+        auto noc = makeNoc(r.config, 1);
+        Snapshot next;
+        RunRequest run;
+        run.device = noc.get();
+        run.workload = &r.workload;
+        run.sim.maxCycles = 128;
+        run.sim.resumeSnapshot = &r.snapshot;
+        run.sim.captureFinal = &next;
+        local.push_back(runSim(run).synth);
+    }
     setSweepCacheEnabled(cacheWas);
 
     net::Socket sock = rawSession(daemon.port());
@@ -618,11 +868,11 @@ TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
     // One write carries every request, so the daemon drains them all
     // into a single batch.
     std::vector<std::uint8_t> bytes;
-    for (const SweepRequest &r : requests) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
         net::Frame frame;
-        frame.type = net::MessageType::sweepRequest;
-        frame.requestId = 100 + r.pointIndex;
-        frame.payload = encodeSweepRequestPayload(r);
+        frame.type = net::MessageType::runRequest;
+        frame.requestId = 100 + i;
+        frame.payload = encodeShardSliceRequestPayload(requests[i]);
         const std::vector<std::uint8_t> encoded = net::encodeFrame(frame);
         bytes.insert(bytes.end(), encoded.begin(), encoded.end());
     }
@@ -631,32 +881,26 @@ TEST(Distributed, MixedConfigBatchAnswersInArrivalOrder)
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
         net::Frame reply;
-        ASSERT_EQ(net::recvFrame(sock, reply, 60'000, 10'000),
+        ASSERT_EQ(net::recvMessage(sock, reply, 60'000, 10'000),
                   net::FrameStatus::ok);
         // A metricsEpoch here would mean the batch was split.
-        ASSERT_EQ(reply.type, net::MessageType::sweepResult) << i;
+        ASSERT_EQ(reply.type, net::MessageType::runResult) << i;
         EXPECT_EQ(reply.requestId, 100 + i);
-        std::uint32_t point = 0;
-        bool hit = true;
-        SynthResult result;
-        ASSERT_TRUE(decodeSweepResultPayload(reply.payload, point, hit,
-                                             result));
-        EXPECT_EQ(point, i);
-        EXPECT_FALSE(hit) << i;
-        EXPECT_EQ(resultHash(result), resultHash(local[i])) << i;
+        ShardSliceResult result;
+        ASSERT_TRUE(decodeShardSliceResultPayload(reply.payload, result));
+        EXPECT_FALSE(result.cacheHit) << i;
+        EXPECT_EQ(result.done, requests[i].wholeRun()) << i;
+        EXPECT_EQ(result.hasSnapshot, !requests[i].wholeRun()) << i;
+        EXPECT_EQ(resultHash(result.synth), resultHash(local[i])) << i;
     }
     net::Frame epoch;
     ASSERT_EQ(net::recvFrame(sock, epoch, 10'000, 2'000),
               net::FrameStatus::ok);
     EXPECT_EQ(epoch.type, net::MessageType::metricsEpoch);
 
-    net::Frame goodbye;
-    goodbye.type = net::MessageType::goodbye;
-    EXPECT_EQ(net::sendFrame(sock, goodbye, 2'000),
-              net::FrameStatus::ok);
-    sock.close();
-    daemon.server.stop();
-    EXPECT_EQ(daemon.server.stats().pointsServed, requests.size());
+    partAndStop(sock, daemon);
+    EXPECT_EQ(daemon.server.stats().pointsServed, workloads.size());
+    EXPECT_EQ(daemon.server.stats().slicesServed, 1u);
 }
 
 } // namespace

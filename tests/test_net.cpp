@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "net/endpoint.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
@@ -29,7 +30,7 @@ Frame
 sampleFrame()
 {
     Frame frame;
-    frame.type = MessageType::sweepRequest;
+    frame.type = MessageType::runRequest;
     frame.requestId = 0x1122334455667788ull;
     frame.payload = {1, 2, 3, 4, 5};
     return frame;
@@ -274,7 +275,7 @@ TEST(FrameSocket, OversizedLengthPrefixRejectedBeforePayload)
     WireWriter w;
     w.u32(kFrameMagic);
     w.u32(kWireVersion);
-    w.u16(static_cast<std::uint16_t>(MessageType::sweepRequest));
+    w.u16(static_cast<std::uint16_t>(MessageType::runRequest));
     w.u16(0);
     w.u64(7);
     w.u32(0xffffff00u);
@@ -416,6 +417,48 @@ TEST(FrameServer, RejectsRogueHandshakes)
     EXPECT_EQ(stats.requestsServed, 0u);
 }
 
+TEST(FrameServer, VersionTwoHelloGetsBadVersion)
+{
+    // A wire-version-2 client frames its hello with version 2 in the
+    // header and the payload. Version 3 retired v2's separate sweep
+    // and slice messages, so the daemon must refuse it with the code
+    // clients treat as permanent, not as a retryable bad request.
+    FrameServer server(ServerConfig{}, [](std::vector<Frame> &&) {
+        return std::vector<Frame>{};
+    });
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+    Socket s = connectTo("127.0.0.1", server.boundPort(), 2'000, error);
+    ASSERT_TRUE(s.valid()) << error;
+
+    WireWriter payload;
+    payload.u32(2);
+    payload.u32(ServerConfig{}.schemaVersion);
+    payload.u32(8);
+    WireWriter w;
+    w.u32(kFrameMagic);
+    w.u32(2);
+    w.u16(static_cast<std::uint16_t>(MessageType::hello));
+    w.u16(0);
+    w.u64(1);
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.bytes(payload.buffer().data(), payload.size());
+    Fnv1a check;
+    check.addBytes(w.buffer().data(), w.size());
+    w.u64(check.value());
+    ASSERT_EQ(s.sendAll(w.buffer().data(), w.size(), 2'000), IoStatus::ok);
+
+    Frame reply;
+    ASSERT_EQ(recvFrame(s, reply, 2'000, 2'000), FrameStatus::ok);
+    ASSERT_EQ(reply.type, MessageType::error);
+    std::uint32_t code = 0;
+    std::string message;
+    ASSERT_TRUE(parseErrorFrame(reply, code, message));
+    EXPECT_EQ(code, kErrBadVersion);
+    server.stop();
+    EXPECT_EQ(server.stats().protocolErrors, 1u);
+}
+
 TEST(FrameServer, SessionCapCountsLiveSessionsNotLifetimeTotal)
 {
     // maxSessions bounds concurrent sessions; a finished session
@@ -470,7 +513,7 @@ TEST(FrameServer, ServesAnEchoHandlerThroughHandshake)
             std::vector<Frame> replies;
             for (Frame &frame : batch) {
                 Frame reply;
-                reply.type = MessageType::sweepResult;
+                reply.type = MessageType::runResult;
                 reply.requestId = frame.requestId;
                 reply.payload = std::move(frame.payload);
                 replies.push_back(std::move(reply));

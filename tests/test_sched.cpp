@@ -586,5 +586,53 @@ TEST(SweepCache, KeyAndEntryBytesArePinned)
     EXPECT_EQ(h.value(), UINT64_C(0x37eb3f3347761c55));
 }
 
+TEST(SweepCache, FieldListKeysArePinned)
+{
+    // Recorded before sweepKey was derived from the NocConfig and
+    // SyntheticWorkload field lists: every non-default field (bools
+    // off, link stages, ftInject, LOCAL with its radius) and the
+    // all-default case hash to the same words as the hand-listed key.
+    NocConfig cfg = NocConfig::fastTrack(8, 2, 1, NocVariant::ftInject);
+    cfg.turnPriority = false;
+    cfg.allowUpgrade = false;
+    cfg.shortLinkStages = 1;
+    cfg.expressLinkStages = 2;
+    SyntheticWorkload w;
+    w.pattern = TrafficPattern::local;
+    w.injectionRate = 0.3;
+    w.packetsPerPe = 77;
+    w.localRadius = 3;
+    w.seed = 12345;
+    EXPECT_EQ(sweepKey(cfg, 2, w, 54321),
+              UINT64_C(0xed19220d3b3e1c89));
+    EXPECT_EQ(sweepKey(NocConfig::hoplite(4), 1, SyntheticWorkload{}),
+              UINT64_C(0x3acd61ce947a5a43));
+}
+
+TEST(BlobCache, EntryFileBytesArePinned)
+{
+    // One entry file as the cache writes it, recorded before the
+    // FTRC entry and the FTCP snapshot file shared a container
+    // helper: the bytes on disk must not move.
+    const std::string dir = scratchDir("pinned");
+    sched::BlobCache cache("test_cache", 7);
+    cache.setDir(dir);
+    const std::uint64_t key = 0x0123456789abcdefull;
+    cache.store(key, {1, 2, 3, 4, 5});
+    std::ifstream f(cache.entryPath(key), std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(f)),
+        std::istreambuf_iterator<char>());
+    const std::vector<std::uint8_t> pinned = {
+        0x46, 0x54, 0x52, 0x43, 0x07, 0x00, 0x00, 0x00, 0xef, 0xcd,
+        0xab, 0x89, 0x67, 0x45, 0x23, 0x01, 0x05, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x88,
+        0x7d, 0x6b, 0x4f, 0xbf, 0xdc, 0x66, 0x0f,
+    };
+    EXPECT_EQ(bytes, pinned);
+    EXPECT_EQ(cache.diskBytes(), pinned.size());
+    std::filesystem::remove_all(dir);
+}
+
 } // namespace
 } // namespace fasttrack

@@ -94,7 +94,7 @@ struct WithDaemon
 /**
  * A hostile daemon: speaks the handshake correctly, then answers
  * every slice request on every connection with one canned
- * snapshotResult payload — the wire-level adversary the client's
+ * runResult payload — the wire-level adversary the client's
  * answer validation must survive.
  */
 class HostileDaemon
@@ -144,7 +144,7 @@ class HostileDaemon
                 net::FrameStatus::ok)
                 continue;
             net::Frame reply;
-            reply.type = net::MessageType::snapshotResult;
+            reply.type = net::MessageType::runResult;
             reply.requestId = request.requestId;
             reply.payload = payload_;
             (void)net::sendMessage(session, reply, 2'000);
@@ -452,7 +452,7 @@ TEST(FrameMessage, FragmentsAndReassembles)
 
     // A payload forced through tiny fragments reassembles exactly.
     net::Frame big;
-    big.type = net::MessageType::snapshotRequest;
+    big.type = net::MessageType::runRequest;
     big.requestId = 77;
     big.payload.resize(64 * 1024);
     for (std::size_t i = 0; i < big.payload.size(); ++i)
@@ -488,17 +488,17 @@ TEST(FrameMessage, RejectsBrokenFragmentChains)
     net::Socket server = listener.accept(2'000);
     ASSERT_TRUE(server.valid());
 
-    // Mid-chain type switch: first fragment says snapshotRequest,
-    // continuation claims sweepRequest — malformed.
+    // Mid-chain type switch: first fragment says runRequest,
+    // continuation claims metricsEpoch — malformed.
     net::Frame head;
-    head.type = net::MessageType::snapshotRequest;
+    head.type = net::MessageType::runRequest;
     head.requestId = 5;
     head.partial = true;
     head.payload = {1, 2, 3};
     ASSERT_EQ(net::sendFrame(client, head, 2'000),
               net::FrameStatus::ok);
     net::Frame rogue;
-    rogue.type = net::MessageType::sweepRequest;
+    rogue.type = net::MessageType::metricsEpoch;
     rogue.requestId = 5;
     rogue.payload = {4, 5, 6};
     ASSERT_EQ(net::sendFrame(client, rogue, 2'000),
@@ -552,7 +552,7 @@ TEST(FrameMessage, RejectsEmptyPartialFragments)
     // receiving thread forever (each empty fragment adds zero bytes,
     // so the reassembly budget alone never trips).
     net::Frame empty;
-    empty.type = net::MessageType::snapshotRequest;
+    empty.type = net::MessageType::runRequest;
     empty.requestId = 9;
     empty.partial = true;
     ASSERT_EQ(net::sendFrame(client, empty, 2'000),
@@ -614,14 +614,14 @@ rawHandshake(std::uint16_t port)
     return sock;
 }
 
-/** Send one snapshotRequest payload, expect a kErrBadRequest reply. */
+/** Send one runRequest payload, expect a kErrBadRequest reply. */
 void
 expectSliceRejected(net::Socket &sock,
                     const std::vector<std::uint8_t> &payload,
                     std::uint64_t request_id)
 {
     net::Frame bad;
-    bad.type = net::MessageType::snapshotRequest;
+    bad.type = net::MessageType::runRequest;
     bad.requestId = request_id;
     bad.payload = payload;
     ASSERT_EQ(net::sendMessage(sock, bad, 2'000), net::FrameStatus::ok);
@@ -676,7 +676,7 @@ TEST(Sharding, HostileSliceRequestsGetTypedErrorsAndDaemonSurvives)
     // The same session then serves a valid first slice.
     ShardSliceRequest good = sampleSliceRequest();
     net::Frame frame;
-    frame.type = net::MessageType::snapshotRequest;
+    frame.type = net::MessageType::runRequest;
     frame.requestId = 64;
     frame.payload = encodeShardSliceRequestPayload(good);
     ASSERT_EQ(net::sendMessage(sock, frame, 2'000),
@@ -684,7 +684,7 @@ TEST(Sharding, HostileSliceRequestsGetTypedErrorsAndDaemonSurvives)
     net::Frame reply;
     ASSERT_EQ(net::recvMessage(sock, reply, 60'000, 10'000),
               net::FrameStatus::ok);
-    ASSERT_EQ(reply.type, net::MessageType::snapshotResult);
+    ASSERT_EQ(reply.type, net::MessageType::runResult);
     EXPECT_EQ(reply.requestId, 64u);
     ShardSliceResult result;
     ASSERT_TRUE(decodeShardSliceResultPayload(reply.payload, result));

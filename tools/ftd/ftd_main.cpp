@@ -3,7 +3,8 @@
  * ftd — the FastTrack sweep daemon: simulation-as-a-service.
  *
  * Binds the FtdServer (sim/ftd_server.hpp) on a TCP port and serves
- * sweepRequest frames until SIGINT/SIGTERM, sharing this host's
+ * runRequest messages — whole-run sweep points and temporal-shard
+ * slices alike — until SIGINT/SIGTERM, sharing this host's
  * work-stealing pool and blob cache across every connected client.
  * With --result-cache the cache survives restarts, and because sweep
  * keys are content-addressed a point any client ever computed is a
